@@ -15,7 +15,6 @@ import numpy as np
 from . import __version__
 from .core import PersistenceDiagram
 from .errors import DimensionTooLarge, RipsphError
-from .homology import betti_numbers
 from .ingestion import load_csv, parse_pdb, write_csv
 from .metrics import pairwise_distances, validate_metric
 from .persistence import (betti_at_scale, persistence_diagram,
@@ -39,10 +38,7 @@ def _load_points(path: str, fmt: str | None, chain: str | None) -> np.ndarray:
     p = Path(path)
     if fmt is None:
         fmt = "pdb" if p.suffix.lower() in (".pdb", ".ent") else "csv"
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise RipsphError(f"{path}: {exc.strerror or exc}") from None
+    text = p.read_text()
     if fmt == "pdb":
         return parse_pdb(text, chain=chain)
     return load_csv(text)
@@ -126,15 +122,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for v in violations:
         print(f"  {v}")
     if args.threshold is not None:
-        filtration = build_rips(matrix, RipsParams(args.max_dimension, args.threshold))
+        k = args.max_dimension
+        filtration = build_rips(matrix, RipsParams(k, args.threshold))
         complex_violations = validate_complex(complex_at_scale(filtration, args.threshold))
         filtration_violations = filtration.validate()
         print(f"filtration entries: {len(filtration)}")
         print(f"complex violations: {len(complex_violations)}")
         for v in complex_violations + filtration_violations:
             print(f"  {v}")
-        betti = betti_numbers(complex_at_scale(filtration, args.threshold),
-                              args.max_dimension)
+        # the whole filtration is the complex at the threshold; read it at
+        # most at the largest distance, since betti_at_scale counts no class
+        # as alive at an infinite scale
+        scale = min(args.threshold, float(matrix.max()))
+        betti = betti_at_scale(persistence_diagram(filtration, max_dim=k),
+                               scale, max_dim=k)
         print(write_betti_table(betti), end="")
     return 0
 
@@ -207,6 +208,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (RipsphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

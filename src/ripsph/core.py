@@ -27,6 +27,14 @@ class Simplex:
             raise ValueError(f"duplicate vertices in {verts}")
         object.__setattr__(self, "vertices", verts)
 
+    @classmethod
+    def _canonical(cls, vertices: tuple[int, ...]) -> "Simplex":
+        """Unchecked constructor for a tuple already strictly increasing and
+        made of non-negative ints, such as a face of an existing simplex."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "vertices", vertices)
+        return s
+
     @property
     def dimension(self) -> int:
         return len(self.vertices) - 1
@@ -36,7 +44,7 @@ class Simplex:
         if self.dimension == 0:
             return []
         v = self.vertices
-        return [Simplex(v[:i] + v[i + 1:]) for i in range(len(v))]
+        return [Simplex._canonical(v[:i] + v[i + 1:]) for i in range(len(v))]
 
     def subfaces(self) -> Iterator["Simplex"]:
         """Every proper non-empty face, all dimensions."""
@@ -207,14 +215,6 @@ class Filtration:
             seen[s] = scale
         return violations
 
-    def to_text(self) -> str:
-        """Debug dump: one line 'scale dim v0 v1 ... vk' per entry."""
-        lines = []
-        for s, scale in self.entries:
-            verts = " ".join(str(v) for v in s.vertices)
-            lines.append(f"{scale!r} {s.dimension} {verts}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True, order=True)
 class PersistencePair:
@@ -225,6 +225,12 @@ class PersistencePair:
     death: float = math.inf
 
     def __post_init__(self):
+        if self.dimension < 0:
+            raise ValueError(f"negative dimension {self.dimension}")
+        if not math.isfinite(self.birth):
+            raise ValueError(f"birth must be finite, got {self.birth}")
+        if math.isnan(self.death):
+            raise ValueError("death must not be NaN")
         if self.death < self.birth:
             raise ValueError(f"death {self.death} before birth {self.birth}")
 

@@ -6,6 +6,7 @@ addition is one XOR regardless of width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Chain, Simplex, SimplicialComplex
 from .errors import NotACycle
@@ -61,26 +62,31 @@ def build_boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrixZ2:
     return BoundaryMatrixZ2(rows, cols, tuple(columns))
 
 
-def rank_z2(m: BoundaryMatrixZ2) -> int:
-    """Rank over GF(2) by left-to-right elimination; input unmodified."""
-    return rank_of_columns(list(m.columns))
+def _reduce(columns: list[int], order: Iterable[int],
+            owner: dict[int, int]) -> None:
+    """The GF(2) column reduction shared by every elimination in the package.
 
-
-def rank_of_columns(columns: list[int]) -> int:
-    """Rank of a GF(2) matrix given as int-bitset columns."""
-    pivots: dict[int, int] = {}  # lowest-one row -> reduced column
-    rank = 0
-    for col in columns:
-        c = col
+    Reduces columns[j] in place for each j in order: while its lowest one is
+    owned by an earlier column, add that column. A column left nonzero takes
+    ownership of its lowest one, recorded in owner (row -> column index).
+    """
+    for j in order:
+        c = columns[j]
         while c:
             low = c.bit_length() - 1
-            other = pivots.get(low)
+            other = owner.get(low)
             if other is None:
-                pivots[low] = c
-                rank += 1
+                owner[low] = j
                 break
-            c ^= other
-    return rank
+            c ^= columns[other]
+        columns[j] = c
+
+
+def rank_z2(m: BoundaryMatrixZ2) -> int:
+    """Rank over GF(2) by left-to-right elimination; input unmodified."""
+    owner: dict[int, int] = {}
+    _reduce(list(m.columns), range(len(m.columns)), owner)
+    return len(owner)
 
 
 def betti_numbers(c: SimplicialComplex, max_k: int) -> tuple[int, ...]:
@@ -121,6 +127,7 @@ def are_homologous(c1: Chain, c2: Chain, complex_: SimplicialComplex) -> bool:
         target |= 1 << row_index[s]
     if k + 1 > complex_.dimension:
         return False
-    matrix = build_boundary_matrix(complex_, k + 1)
-    base = list(matrix.columns)
-    return rank_of_columns(base + [target]) == rank_of_columns(base)
+    columns = list(build_boundary_matrix(complex_, k + 1).columns) + [target]
+    # the target reduces to zero iff it is a sum of the boundary columns
+    _reduce(columns, range(len(columns)), {})
+    return columns[-1] == 0

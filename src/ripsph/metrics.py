@@ -59,8 +59,3 @@ def validate_metric(m: np.ndarray) -> list[str]:
                     f"{m[i, j]!r} + {m[j, k]!r}")
     return violations
 
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    """Row-major headerless CSV dump of the distance matrix."""
-    lines = [",".join(repr(float(x)) for x in row) for row in np.asarray(m)]
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,9 @@
 """Persistence pairs via boundary-matrix column reduction.
 
-Standard left-to-right reduction with int-bitset columns. The clearing
-("twist") optimization processes dimensions top-down and zeroes columns
-already known to be births; it is on by default and provably yields the
-same pairing.
+Left-to-right reduction of int-bitset columns with the clearing ("twist")
+optimization: dimensions are reduced top-down and columns already known to
+be births are zeroed unreduced, which provably yields the same pairing
+(Chen and Kerber, "Persistent homology computation with a twist", 2011).
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from typing import IO, Iterable, Union
 
 from .core import Filtration, PersistenceDiagram, PersistencePair
 from .errors import InvalidFiltration, RipsphError
+from .homology import _reduce
 
 
 @dataclass(frozen=True)
@@ -24,58 +25,45 @@ class ReductionResult:
     essential: frozenset[int]
 
 
-def _boundary_columns(f: Filtration) -> tuple[list[int], list[int]]:
+def _boundary_columns(f: Filtration) -> tuple[list[int], dict[int, list[int]]]:
+    """Boundary column of every entry, and the entries of each dimension in
+    filtration order. A column's rows are its faces' positions among the
+    entries one dimension down, so it is only as wide as that dimension."""
     index_of = {s: i for i, (s, _) in enumerate(f.entries)}
     columns: list[int] = []
-    dims: list[int] = []
+    by_dim: dict[int, list[int]] = {}
+    row_of: list[int] = []  # entry index -> position within its dimension
     for i, (s, _) in enumerate(f.entries):
-        dims.append(s.dimension)
         bits = 0
         for face in s.faces():
             j = index_of.get(face)
             if j is None or j >= i:
                 raise InvalidFiltration(
                     f"face {face.vertices} of {s.vertices} does not precede it")
-            bits |= 1 << j
+            bits |= 1 << row_of[j]
         columns.append(bits)
-    return columns, dims
+        same_dim = by_dim.setdefault(s.dimension, [])
+        row_of.append(len(same_dim))
+        same_dim.append(i)
+    return columns, by_dim
 
 
-def reduce_filtration(f: Filtration, clearing: bool = True) -> ReductionResult:
+def reduce_filtration(f: Filtration) -> ReductionResult:
     """Column reduction: repeatedly cancel a column's lowest one against the
     earlier column owning that pivot; surviving lowest ones are (birth,
     death) pairs, zero columns not used as births are essential."""
-    columns, dims = _boundary_columns(f)
-    n = len(columns)
+    columns, by_dim = _boundary_columns(f)
     pairing: dict[int, int] = {}
-    pivot_owner: dict[int, int] = {}  # lowest-one row -> column index
-
-    def reduce_column(j: int) -> None:
-        c = columns[j]
-        while c:
-            low = c.bit_length() - 1
-            owner = pivot_owner.get(low)
-            if owner is None:
-                pivot_owner[low] = j
-                pairing[j] = low
-                break
-            c ^= columns[owner]
-        columns[j] = c
-
-    if clearing:
-        for d in range(max(dims, default=0), 0, -1):
-            for j in range(n):
-                if dims[j] == d:
-                    reduce_column(j)
-            for j in list(pairing.values()):
-                columns[j] = 0  # known birth columns need no reduction
-    else:
-        for j in range(n):
-            reduce_column(j)
-
+    for d in range(max(by_dim, default=0), 0, -1):
+        owner: dict[int, int] = {}  # row among the (d-1)-simplices -> column
+        _reduce(columns, by_dim[d], owner)
+        for row, death in owner.items():
+            birth = by_dim[d - 1][row]
+            pairing[death] = birth
+            columns[birth] = 0  # a known birth column needs no reduction
     births = set(pairing.values())
     essential = frozenset(
-        j for j in range(n) if columns[j] == 0 and j not in births)
+        j for j, c in enumerate(columns) if c == 0 and j not in births)
     return ReductionResult(pairing, essential)
 
 
@@ -106,10 +94,9 @@ def pairs_to_diagram(r: ReductionResult, f: Filtration,
 
 
 def persistence_diagram(f: Filtration, drop_zero: bool = True,
-                        clearing: bool = True,
                         max_dim: int | None = None) -> PersistenceDiagram:
     """One-call reduction of a filtration to its diagram."""
-    return pairs_to_diagram(reduce_filtration(f, clearing=clearing), f,
+    return pairs_to_diagram(reduce_filtration(f), f,
                             drop_zero=drop_zero, max_dim=max_dim)
 
 
@@ -161,5 +148,8 @@ def read_diagram_csv(source: Union[str, IO]) -> PersistenceDiagram:
             death = math.inf if fields[2].strip() == "inf" else float(fields[2])
         except ValueError:
             raise RipsphError(f"line {lineno}: unparseable pair") from None
-        pairs.append(PersistencePair(dim, birth, death))
+        try:
+            pairs.append(PersistencePair(dim, birth, death))
+        except ValueError as exc:
+            raise RipsphError(f"line {lineno}: {exc}") from None
     return PersistenceDiagram(pairs)

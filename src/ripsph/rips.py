@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Filtration, Simplex, SimplicialComplex
-from .errors import DimensionTooLarge
+from .errors import DimensionTooLarge, NotSquare
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class RipsParams:
     def __post_init__(self):
         if self.max_dimension < 0:
             raise ValueError("max_dimension must be >= 0")
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # also rejects NaN
             raise ValueError("threshold must be >= 0")
 
 
@@ -37,6 +37,14 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     neighbor lists, so each clique is produced exactly once.
     """
     m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquare(f"expected a square distance matrix, got shape {m.shape}")
+    # min is NaN if any entry is; symmetry is left to validate_metric, since
+    # only the upper triangle is read
+    if m.size and not (m.min() >= 0.0 and m.max() < np.inf):
+        i, j = np.argwhere(~(m >= 0.0) | np.isinf(m))[0]
+        raise ValueError(f"distance ({i},{j}) is {float(m[i, j])!r}; "
+                         "distances must be finite and non-negative")
     n = m.shape[0]
     if params.max_dimension + 1 >= n:
         raise DimensionTooLarge(
@@ -47,13 +55,13 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     neighbors = [[j for j in range(i + 1, n) if m[i, j] <= eps]
                  for i in range(n)]
     entries: list[tuple[Simplex, float]] = [
-        (Simplex((i,)), 0.0) for i in range(n)]
+        (Simplex._canonical((i,)), 0.0) for i in range(n)]
 
     def expand(clique: tuple[int, ...], cands: list[int], diam: float) -> None:
         for idx, j in enumerate(cands):
             d = max(diam, max(float(m[v, j]) for v in clique))
             grown = clique + (j,)
-            entries.append((Simplex(grown), d))
+            entries.append((Simplex._canonical(grown), d))
             if len(grown) < max_size:
                 tail = [u for u in cands[idx + 1:] if m[j, u] <= eps]
                 expand(grown, tail, d)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ripsph.cli import main
+from ripsph.homology import betti_numbers
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import betti_at_scale, persistence_diagram, read_diagram_csv
-from ripsph.rips import RipsParams, build_rips
+from ripsph.rips import RipsParams, build_rips, complex_at_scale
 
 
 def circle_csv(tmp_path, n=6, name="circle.csv"):
@@ -119,6 +120,19 @@ class TestBetti:
         bad.write_text("not,a,diagram\n1,2,3\n")
         assert main(["betti", str(bad), "--scale", "1.0"]) == 2
 
+    @pytest.mark.parametrize("row", ["-1,0.0,1.0", "0,nan,1.0", "0,0.0,nan",
+                                     "0,inf,inf"])
+    def test_invalid_pair_exits_2(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"dim,birth,death\n0,0.0,inf\n{row}\n1,0.2,0.5\n")
+        assert main(["betti", str(bad), "--scale", "0.3"]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["betti", str(missing), "--scale", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+
 
 class TestDistance:
     def test_identical_files_zero(self, tmp_path, capsys):
@@ -152,6 +166,13 @@ class TestDistance:
         a.write_text("nope\n")
         assert main(["distance", str(a), str(a)]) == 2
 
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("dim,birth,death\n")
+        missing = tmp_path / "b.csv"
+        assert main(["distance", str(a), str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+
 
 class TestPdbExtract:
     def test_writes_csv(self, tmp_path):
@@ -174,3 +195,30 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "metric violations: 0" in out
         assert "complex violations: 0" in out
+
+    @pytest.mark.parametrize("cloud", ["circle", "noisy", "grid", "blobs"])
+    @pytest.mark.parametrize("threshold", ["0.3", "0.7", "1.5", "inf"])
+    def test_betti_table_matches_static_homology(self, tmp_path, capsys,
+                                                 cloud, threshold):
+        rng = np.random.default_rng(61)
+        if cloud == "circle":
+            pts = circle_csv(tmp_path, n=12)[1]
+        elif cloud == "noisy":
+            angles = rng.uniform(0, 2 * np.pi, 16)
+            pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            pts += rng.normal(scale=0.05, size=pts.shape)
+        elif cloud == "grid":  # many tied distances
+            pts = np.array([[x, y] for x in range(4) for y in range(3)]) * 0.5
+        else:
+            pts = np.concatenate([rng.normal(c, 0.2, size=(6, 3))
+                                  for c in (0.0, 1.0)])
+        path = tmp_path / "cloud.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in p) + "\n"
+                                for p in pts))
+        assert main(["validate", str(path), "--threshold", threshold,
+                     "--max-dimension", "2"]) == 0
+        table = capsys.readouterr().out.splitlines()[-1]
+        m = pairwise_distances(pts)
+        f = build_rips(m, RipsParams(2, float(threshold)))
+        expected = betti_numbers(complex_at_scale(f, float(threshold)), 2)
+        assert tuple(int(b) for b in table.split()) == expected

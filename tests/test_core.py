@@ -41,6 +41,15 @@ class TestSimplex:
         assert set(Simplex((0, 1, 2)).faces()) == {
             Simplex((1, 2)), Simplex((0, 2)), Simplex((0, 1))}
 
+    @given(vertex_sets)
+    def test_faces_match_public_constructor(self, verts):
+        s = Simplex(verts)
+        expected = [Simplex(verts - {v}) for v in s.vertices] if len(verts) > 1 else []
+        faces = s.faces()
+        assert faces == expected
+        assert [hash(f) for f in faces] == [hash(f) for f in expected]
+        assert all(type(f.vertices) is tuple for f in faces)
+
     def test_subfaces_of_triangle(self):
         assert len(list(Simplex((0, 1, 2)).subfaces())) == 6
 
@@ -120,17 +129,18 @@ class TestFiltration:
         bad = Filtration([(Simplex((0,)), 0.0), (Simplex((0, 1)), 0.5)])
         assert bad.validate() != []
 
-    def test_text_dump_roundtrip_shape(self):
-        f = Filtration([(Simplex((0,)), 0.0), (Simplex((1,)), 0.0),
-                        (Simplex((0, 1)), 1.5)])
-        lines = f.to_text().strip().splitlines()
-        assert lines[-1] == "1.5 1 0 1"
-
 
 class TestPersistencePair:
     def test_death_before_birth_rejected(self):
         with pytest.raises(ValueError):
             PersistencePair(0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("dim,birth,death", [
+        (-1, 0.0, 1.0), (0, math.nan, 1.0), (0, 0.0, math.nan),
+        (0, math.inf, math.inf), (0, -math.inf, 1.0)])
+    def test_rejects_invalid_values(self, dim, birth, death):
+        with pytest.raises(ValueError):
+            PersistencePair(dim, birth, death)
 
     def test_essential(self):
         p = PersistencePair(0, 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ripsph.errors import NotSquare
-from ripsph.metrics import matrix_to_csv, pairwise_distances, validate_metric
+from ripsph.metrics import pairwise_distances, validate_metric
 
 
 class TestPairwiseDistances:
@@ -67,8 +67,3 @@ class TestIsometryInvariance:
         moved = pts @ rot.T + np.array([3.0, -7.0, 0.5])
         assert np.allclose(pairwise_distances(moved), base, atol=1e-9)
 
-
-class TestCsvDump:
-    def test_row_major_headerless(self):
-        m = pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert matrix_to_csv(m) == "0.0,5.0\n5.0,0.0\n"

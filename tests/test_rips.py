@@ -6,7 +6,7 @@ import pytest
 
 from oracles import brute_force_rips
 from ripsph.core import validate_complex
-from ripsph.errors import DimensionTooLarge
+from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
 from ripsph.rips import RipsParams, build_rips, complex_at_scale
 
@@ -62,6 +62,20 @@ class TestBuildRips:
             RipsParams(-1, 1.0)
         with pytest.raises(ValueError):
             RipsParams(1, -0.5)
+        with pytest.raises(ValueError):
+            RipsParams(1, math.nan)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(NotSquare):
+            build_rips(np.zeros(shape), RipsParams(0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_bad_entry(self, bad):
+        m = equilateral_matrix()
+        m[0, 2] = m[2, 0] = bad
+        with pytest.raises(ValueError, match=r"\(0,2\)"):
+            build_rips(m, RipsParams(1, 2.0))
 
     def test_matches_brute_force_enumeration(self):
         rng = random.Random(13)
