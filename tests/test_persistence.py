@@ -64,17 +64,22 @@ class TestReduce:
         with pytest.raises(InvalidFiltration):
             reduce_filtration(f)
 
-    def test_matches_naive_oracle(self):
-        # the oracle reduces without clearing, so it also referees clearing;
-        # the max_dim=2 clouds are compared uncut, tetrahedra included
-        rng = random.Random(43)
-        cases = [(random_cloud_filtration(rng, n_max=8, max_dim=1), 1)
-                 for _ in range(25)]
+    def test_clearing_matches_plain_reduction(self):
+        # the oracle reduces without clearing; the H0-H2 clouds are compared
+        # uncut, tetrahedra included
         rng = random.Random(41)
-        cases += [(random_cloud_filtration(rng), None) for _ in range(25)]
-        for f, max_dim in cases:
-            d = persistence_diagram(f, max_dim=max_dim)
-            oracle = naive_reduction_diagram(f, max_dim=max_dim)
+        for _ in range(25):
+            f = random_cloud_filtration(rng)
+            with_clearing = persistence_diagram(f, max_dim=None)
+            without = naive_reduction_diagram(f, max_dim=None)
+            assert as_multiset(with_clearing) == without
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(43)
+        for _ in range(25):
+            f = random_cloud_filtration(rng, n_max=8, max_dim=1)
+            d = persistence_diagram(f, max_dim=1)
+            oracle = naive_reduction_diagram(f, max_dim=1)
             assert as_multiset(d) == oracle
 
     def test_h0_matches_union_find(self):
