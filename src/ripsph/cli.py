@@ -52,18 +52,25 @@ def _feature_counts(d: PersistenceDiagram, max_dim: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _check_config(flag: str, dimension: int,
+                  threshold: float | None = None) -> None:
+    """Reject a bad configuration before any input is read or output
+    written."""
+    if dimension < 0:
+        raise ConfigError(f"{flag} must be >= 0")
+    if threshold is not None and not threshold >= 0:  # also rejects NaN
+        raise ConfigError("threshold must be >= 0")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.max_dimension < 0:
-        raise ConfigError("max-dimension must be >= 0")
-    if args.min_persistence < 0:
+    _check_config("max-dimension", args.max_dimension, args.threshold)
+    if not args.min_persistence >= 0:
         raise ConfigError("min-persistence must be >= 0")
     points = _load_points(args.input, args.format, args.chain)
     matrix = pairwise_distances(points)
     threshold = args.threshold
     if threshold is None:
         threshold = float(matrix.max())
-    elif threshold < 0:
-        raise ConfigError("threshold must be >= 0")
     elif args.scale_convention == "radius":
         threshold *= 2.0  # diagrams always report diameter-convention scales
     filtration = build_rips(matrix, RipsParams(args.max_dimension, threshold))
@@ -95,6 +102,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    _check_config("dim", args.dim)
     da = read_diagram_csv(Path(args.a).read_text())
     db = read_diagram_csv(Path(args.b).read_text())
     fn = bottleneck_distance if args.kind == "bottleneck" else wasserstein_distance
@@ -114,6 +122,7 @@ def _cmd_pdb_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    _check_config("max-dimension", args.max_dimension, args.threshold)
     points = _load_points(args.input, args.format, args.chain)
     matrix = pairwise_distances(points)
     violations = validate_metric(matrix)

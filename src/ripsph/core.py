@@ -121,16 +121,9 @@ def validate_complex(c: SimplicialComplex) -> list[str]:
                 violations.append(f"simplex {s.vertices} missing face {face.vertices}")
         if s.dimension > 0:
             for v in s.vertices:
-                if Simplex((v,)) not in present:
+                if Simplex._canonical((v,)) not in present:
                     violations.append(f"simplex {s.vertices} missing vertex ({v},)")
-    # dedupe, keep order
-    seen: set[str] = set()
-    out = []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return violations
 
 
 @dataclass(frozen=True)

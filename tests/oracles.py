@@ -8,7 +8,10 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from ripsph.core import Filtration
+from ripsph.metrics import TRIANGLE_TOL
 
 
 def brute_force_rips(m, threshold: float, max_size: int) -> list[tuple[tuple[int, ...], float]]:
@@ -57,6 +60,31 @@ def naive_reduction_diagram(f: Filtration, drop_zero: bool = True,
             if max_dim is None or s.dimension <= max_dim:
                 out.append((s.dimension, scale, math.inf))
     return sorted(out)
+
+
+def naive_validate_metric(m) -> list[str]:
+    """Metric-axiom messages from per-pair loops, one numpy call per pair."""
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[0]
+    violations = []
+    for i in range(n):
+        if m[i, i] != 0.0:
+            violations.append(f"Identity violation at ({i},{i}): {m[i, i]!r}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i, j] != m[j, i]:
+                violations.append(f"Symmetry violation at ({i},{j})")
+            if m[i, j] <= 0.0:
+                violations.append(f"Positivity violation at ({i},{j}): {m[i, j]!r}")
+    for i in range(n):
+        for k in range(i + 1, n):
+            # min over intermediate j of d(i,j)+d(j,k), vectorized
+            if n and np.min(m[i] + m[:, k]) < m[i, k] - TRIANGLE_TOL:
+                j = int(np.argmin(m[i] + m[:, k]))
+                violations.append(
+                    f"Triangle violation ({i},{k}): {m[i, k]!r} > "
+                    f"{m[i, j]!r} + {m[j, k]!r}")
+    return violations
 
 
 def union_find_h0(f: Filtration) -> list[tuple[float, float]]:

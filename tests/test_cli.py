@@ -174,6 +174,26 @@ class TestDistance:
         assert capsys.readouterr().err.startswith(f"error: {missing}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{cloud}", "--max-dimension", "-1"],
+    ["run", "{cloud}", "--threshold", "-1"],
+    ["run", "{cloud}", "--threshold", "nan"],
+    ["run", "{cloud}", "--min-persistence", "nan"],
+    ["validate", "{cloud}", "--max-dimension", "-1"],
+    ["validate", "{cloud}", "--threshold", "-1"],
+    ["validate", "{cloud}", "--threshold", "nan"],
+    ["distance", "{diagram}", "{diagram}", "--dim", "-1"],
+])
+def test_bad_configuration_exits_3_before_output(tmp_path, capsys, argv):
+    cloud, _ = circle_csv(tmp_path)
+    diagram = tmp_path / "diagram.csv"
+    diagram.write_text("dim,birth,death\n0,0.0,inf\n")
+    assert main([a.format(cloud=cloud, diagram=diagram) for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestPdbExtract:
     def test_writes_csv(self, tmp_path):
         path = pdb_file(tmp_path, n=10)

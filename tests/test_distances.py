@@ -1,11 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exhaustive_bottleneck, exhaustive_wasserstein
 from ripsph.core import PersistenceDiagram, PersistencePair
 from ripsph.distances import bottleneck_distance, wasserstein_distance
+from ripsph.metrics import pairwise_distances
+from ripsph.persistence import persistence_diagram
+from ripsph.rips import RipsParams, build_rips
 
 
 def diagram(points, dim=1, essentials=()):
@@ -52,6 +58,12 @@ class TestBottleneck:
         a = diagram([(0.0, 4.0)], dim=0)
         b = diagram([], dim=0)
         assert bottleneck_distance(a, b, 1) == 0.0
+
+    def test_thousand_points_exact(self):
+        # every point moves its death by 0.25, far below any diagonal cost
+        a = diagram([(10.0 * i, 10.0 * i + 5) for i in range(1000)])
+        b = diagram([(10.0 * i, 10.0 * i + 5 + 0.25) for i in range(1000)])
+        assert bottleneck_distance(a, b, 1) == 0.25
 
 
 class TestWasserstein:
@@ -129,3 +141,22 @@ class TestMetricAxioms:
                 assert math.isinf(bd)
             else:
                 assert bd <= w + 1e-12
+
+
+class TestStability:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9),
+           delta=st.floats(0.0, 0.3))
+    def test_bottleneck_bounded_by_twice_displacement(self, seed, n, delta):
+        """Moving each point by at most delta moves every pairwise distance,
+        hence every diameter-convention scale, by at most 2 * delta."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, size=(n, 2))
+        step = rng.normal(size=(n, 2))
+        step *= delta * rng.uniform(0.0, 1.0, size=(n, 1)) / np.maximum(
+            np.linalg.norm(step, axis=1, keepdims=True), 1e-12)
+        params = RipsParams(1, math.inf)  # same complex on both sides
+        da, db = (persistence_diagram(build_rips(pairwise_distances(p), params),
+                                      max_dim=1) for p in (pts, pts + step))
+        for dim in (0, 1):
+            assert bottleneck_distance(da, db, dim) <= 2 * delta + 1e-9

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import naive_validate_metric
 from ripsph.errors import NotSquare
 from ripsph.metrics import pairwise_distances, validate_metric
 
@@ -53,6 +54,32 @@ class TestValidateMetric:
     def test_not_square(self):
         with pytest.raises(NotSquare):
             validate_metric(np.zeros((2, 3)))
+
+    def test_planted_violations_match_oracle(self):
+        # unit grid: many tied distances, so tied two-step paths
+        m = pairwise_distances(np.array(
+            [[x, y] for x in range(4) for y in range(3)], dtype=float)).copy()
+        m[3, 3] = 0.5                 # identity
+        m[1, 4] += 0.25               # symmetry
+        m[2, 5] = m[5, 2] = 0.0       # positivity
+        m[6, 7] = -1.0                # positivity and symmetry
+        m[0, 11] = m[11, 0] = 9.0     # triangle, tied intermediates
+        m[8, 10] = np.nan             # symmetry; no triangle through NaN
+        got = validate_metric(m)
+        assert got == naive_validate_metric(m)
+        assert [v.split()[0] for v in got[:2]] == ["Identity", "Symmetry"]
+        # (1,1) and (2,1) tie as midpoints from (0,0) to (3,2): the first wins
+        assert (f"Triangle violation (0,11): {m[0, 11]!r} > "
+                f"{m[0, 4]!r} + {m[4, 11]!r}") in got
+        assert m[0, 4] + m[4, 11] == m[0, 7] + m[7, 11]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
+    def test_tied_integer_matrices_match_oracle(self, n):
+        # 150 rows span several row blocks of the min-plus product
+        rng = np.random.default_rng(n)
+        m = rng.integers(0, 4, size=(n, n)).astype(float)
+        m = np.where(rng.random((n, n)) < 0.8, m.T, m)  # mostly symmetric
+        assert validate_metric(m) == naive_validate_metric(m)
 
 
 class TestIsometryInvariance:
