@@ -9,11 +9,12 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .core import PersistenceDiagram
+from .core import PersistencePair, validate_complex
 from .errors import DimensionTooLarge, RipsphError
 from .ingestion import load_csv, parse_pdb, write_csv
 from .metrics import pairwise_distances, validate_metric
@@ -23,7 +24,6 @@ from .persistence import (betti_at_scale, persistence_diagram,
 from .render import (RenderOptions, render_barcode_svg, render_diagram_svg,
                      write_betti_table)
 from .rips import RipsParams, build_rips, complex_at_scale
-from .core import validate_complex
 from .distances import bottleneck_distance, wasserstein_distance
 
 EXIT_PARSE = 2
@@ -44,28 +44,27 @@ def _load_points(path: str, fmt: str | None, chain: str | None) -> np.ndarray:
     return load_csv(text)
 
 
-def _feature_counts(d: PersistenceDiagram, max_dim: int) -> tuple[int, ...]:
+def _feature_counts(pairs: Iterable[PersistencePair], max_dim: int) -> tuple[int, ...]:
     counts = [0] * (max_dim + 1)
-    for p in d:
+    for p in pairs:
         if p.dimension <= max_dim:
             counts[p.dimension] += 1
     return tuple(counts)
 
 
-def _check_config(flag: str, dimension: int,
-                  threshold: float | None = None) -> None:
-    """Reject a bad configuration before any input is read or output
-    written."""
-    if dimension < 0:
-        raise ConfigError(f"{flag} must be >= 0")
-    if threshold is not None and not threshold >= 0:  # also rejects NaN
-        raise ConfigError("threshold must be >= 0")
+def _check_config(args: argparse.Namespace) -> None:
+    """Reject a bad configuration of any subcommand before its input is
+    read or its output written. NaN fails every comparison, and a negative
+    --scale is legal."""
+    for name in ("max_dimension", "dim", "threshold", "min_persistence"):
+        value = getattr(args, name, None)
+        if value is not None and not value >= 0:
+            raise ConfigError(f"{name.replace('_', '-')} must be >= 0")
+    if getattr(args, "scale", None) is not None and math.isnan(args.scale):
+        raise ConfigError("scale must not be NaN")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _check_config("max-dimension", args.max_dimension, args.threshold)
-    if not args.min_persistence >= 0:
-        raise ConfigError("min-persistence must be >= 0")
     points = _load_points(args.input, args.format, args.chain)
     matrix = pairwise_distances(points)
     threshold = args.threshold
@@ -102,7 +101,6 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    _check_config("dim", args.dim)
     da = read_diagram_csv(Path(args.a).read_text())
     db = read_diagram_csv(Path(args.b).read_text())
     fn = bottleneck_distance if args.kind == "bottleneck" else wasserstein_distance
@@ -122,29 +120,26 @@ def _cmd_pdb_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _check_config("max-dimension", args.max_dimension, args.threshold)
     points = _load_points(args.input, args.format, args.chain)
     matrix = pairwise_distances(points)
     violations = validate_metric(matrix)
+    k = args.max_dimension
+    if args.threshold is not None:  # may raise DimensionTooLarge: no output yet
+        filtration = build_rips(matrix, RipsParams(k, args.threshold))
     print(f"points: {points.shape[0]}  dimension: {points.shape[1]}")
     print(f"metric violations: {len(violations)}")
     for v in violations:
         print(f"  {v}")
     if args.threshold is not None:
-        k = args.max_dimension
-        filtration = build_rips(matrix, RipsParams(k, args.threshold))
         complex_violations = validate_complex(complex_at_scale(filtration, args.threshold))
-        filtration_violations = filtration.validate()
         print(f"filtration entries: {len(filtration)}")
         print(f"complex violations: {len(complex_violations)}")
-        for v in complex_violations + filtration_violations:
+        for v in complex_violations:
             print(f"  {v}")
-        # the whole filtration is the complex at the threshold; read it at
-        # most at the largest distance, since betti_at_scale counts no class
-        # as alive at an infinite scale
-        scale = min(args.threshold, float(matrix.max()))
-        betti = betti_at_scale(persistence_diagram(filtration, max_dim=k),
-                               scale, max_dim=k)
+        # every entry is in the complex at the threshold, so its Betti
+        # numbers count the classes that never die
+        diagram = persistence_diagram(filtration, max_dim=k)
+        betti = _feature_counts((p for p in diagram if p.is_essential), k)
         print(write_betti_table(betti), end="")
     return 0
 
@@ -211,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_config(args)
         return args.fn(args)
     except (ConfigError, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,17 +113,18 @@ def validate_complex(c: SimplicialComplex) -> list[str]:
 
     Each violation names the offending simplex and the missing face.
     """
-    violations = []
-    present = c.simplices
-    for s in sorted(present, key=simplex_sort_key):
-        for face in s.faces():
-            if face not in present:
-                violations.append(f"simplex {s.vertices} missing face {face.vertices}")
-        if s.dimension > 0:
-            for v in s.vertices:
-                if Simplex._canonical((v,)) not in present:
-                    violations.append(f"simplex {s.vertices} missing vertex ({v},)")
-    return violations
+    present = {s.vertices for s in c.simplices}
+    found = []  # (sort key, messages) of the violators only
+    for s in c.simplices:
+        v = s.vertices
+        if len(v) > 1:
+            missing = [f"simplex {v} missing face {face}" for face in
+                       (v[:i] + v[i + 1:] for i in range(len(v))) if face not in present]
+            missing += [f"simplex {v} missing vertex ({u},)" for u in v if (u,) not in present]
+            if missing:
+                found.append((simplex_sort_key(s), missing))
+    # keys are distinct, so sorting never compares the message lists
+    return [m for _, missing in sorted(found) for m in missing]
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,8 @@ class Chain:
 
 def filtration_sort_key(entry: tuple[Simplex, float]) -> tuple[float, int, tuple[int, ...]]:
     s, scale = entry
+    if math.isnan(scale):
+        raise ValueError("filtration scales must not be NaN")
     return (scale, s.dimension, s.vertices)
 
 
@@ -172,7 +175,8 @@ class Filtration:
     """Ordered (simplex, scale) entries; faces always precede cofaces.
 
     Ties at equal scale break by dimension, then lexicographic vertex
-    order, which makes the downstream reduction deterministic.
+    order, which makes the downstream reduction deterministic. A NaN scale
+    has no place in that order and raises ValueError.
     """
 
     entries: tuple[tuple[Simplex, float], ...]
@@ -192,20 +196,17 @@ class Filtration:
         return sorted({scale for _, scale in self.entries})
 
     def validate(self) -> list[str]:
-        """Check monotonicity: every face appears earlier at a scale <= ours."""
+        """Check that every face appears earlier, so (sorted by scale) no later."""
         violations = []
-        seen: dict[Simplex, float] = {}
-        for s, scale in self.entries:
+        seen: set[Simplex] = set()
+        for s, _ in self.entries:
             if s in seen:
                 violations.append(f"duplicate entry {s.vertices}")
             for face in s.faces():
                 if face not in seen:
                     violations.append(
                         f"face {face.vertices} of {s.vertices} missing or later")
-                elif seen[face] > scale:
-                    violations.append(
-                        f"face {face.vertices} enters after {s.vertices}")
-            seen[s] = scale
+            seen.add(s)
         return violations
 
 

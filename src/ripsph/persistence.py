@@ -68,9 +68,9 @@ def reduce_filtration(f: Filtration) -> ReductionResult:
 
 
 def pairs_to_diagram(r: ReductionResult, f: Filtration,
-                     drop_zero: bool = True,
                      max_dim: int | None = None) -> PersistenceDiagram:
-    """Convert index pairs to (dimension, birth scale, death scale) points.
+    """Convert index pairs to (dimension, birth scale, death scale) points;
+    pairs born and killed at the same scale are dropped.
 
     max_dim truncates the diagram; a Rips filtration built for homology
     through k carries dimension-(k+1) simplices whose own classes are
@@ -80,7 +80,7 @@ def pairs_to_diagram(r: ReductionResult, f: Filtration,
     for death, birth in r.pairing.items():
         simplex, birth_scale = f.entries[birth]
         _, death_scale = f.entries[death]
-        if drop_zero and death_scale == birth_scale:
+        if death_scale == birth_scale:
             continue
         if max_dim is not None and simplex.dimension > max_dim:
             continue
@@ -93,17 +93,18 @@ def pairs_to_diagram(r: ReductionResult, f: Filtration,
     return PersistenceDiagram(pairs)
 
 
-def persistence_diagram(f: Filtration, drop_zero: bool = True,
+def persistence_diagram(f: Filtration,
                         max_dim: int | None = None) -> PersistenceDiagram:
     """One-call reduction of a filtration to its diagram."""
-    return pairs_to_diagram(reduce_filtration(f), f,
-                            drop_zero=drop_zero, max_dim=max_dim)
+    return pairs_to_diagram(reduce_filtration(f), f, max_dim=max_dim)
 
 
 def betti_at_scale(d: PersistenceDiagram, s: float,
                    max_dim: int | None = None) -> tuple[int, ...]:
     """beta_k at scale s: pairs alive on the half-open interval
     birth <= s < death."""
+    if math.isnan(s):
+        raise ValueError("scale must not be NaN")
     if max_dim is None:
         max_dim = max(d.max_dimension, 0)
     betti = [0] * (max_dim + 1)
@@ -117,7 +118,7 @@ def significant_features(d: PersistenceDiagram,
                          min_persistence: float) -> PersistenceDiagram:
     """Drop pairs of persistence below the threshold; essential classes
     always survive."""
-    if min_persistence < 0:
+    if not min_persistence >= 0:  # also rejects NaN
         raise ValueError("min_persistence must be >= 0")
     return PersistenceDiagram(
         p for p in d if p.is_essential or p.persistence >= min_persistence)

@@ -52,7 +52,7 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
             f"{n} points")
     eps = params.threshold
     max_size = params.max_dimension + 2
-    neighbors = [[j for j in range(i + 1, n) if m[i, j] <= eps]
+    neighbors = [(np.flatnonzero(m[i, i + 1:] <= eps) + i + 1).tolist()
                  for i in range(n)]
     entries: list[tuple[Simplex, float]] = [
         (Simplex._canonical((i,)), 0.0) for i in range(n)]

@@ -179,16 +179,21 @@ class TestDistance:
     ["run", "{cloud}", "--threshold", "-1"],
     ["run", "{cloud}", "--threshold", "nan"],
     ["run", "{cloud}", "--min-persistence", "nan"],
+    ["run", "{cloud}", "--scale", "nan"],
+    ["betti", "{diagram}", "--scale", "nan"],
     ["validate", "{cloud}", "--max-dimension", "-1"],
     ["validate", "{cloud}", "--threshold", "-1"],
     ["validate", "{cloud}", "--threshold", "nan"],
+    ["validate", "{tiny}", "--threshold", "2", "--max-dimension", "5"],
     ["distance", "{diagram}", "{diagram}", "--dim", "-1"],
 ])
 def test_bad_configuration_exits_3_before_output(tmp_path, capsys, argv):
     cloud, _ = circle_csv(tmp_path)
+    tiny, _ = circle_csv(tmp_path, n=3, name="tiny.csv")
     diagram = tmp_path / "diagram.csv"
     diagram.write_text("dim,birth,death\n0,0.0,inf\n")
-    assert main([a.format(cloud=cloud, diagram=diagram) for a in argv]) == 3
+    assert main([a.format(cloud=cloud, tiny=tiny, diagram=diagram)
+                 for a in argv]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err

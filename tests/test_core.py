@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ripsph.core import (Chain, Filtration, PersistencePair, Simplex,
-                         SimplicialComplex, validate_complex)
+                         SimplicialComplex, simplex_sort_key,
+                         validate_complex)
 
 vertex_sets = st.sets(st.integers(min_value=0, max_value=30), min_size=1,
                       max_size=6)
@@ -81,6 +82,52 @@ class TestValidateComplex:
         assert validate_complex(c) == []
         assert c.counts() == [4, 6, 4, 1]
 
+    def test_violators_in_several_dimensions_in_order(self):
+        c = SimplicialComplex(Simplex(v) for v in [
+            (0, 1, 2, 3), (0, 1, 2), (0, 1), (1,), (2, 3), (4,), (4, 5),
+            (5, 6, 7)])
+        assert validate_complex(c) == [
+            "simplex (0, 1) missing face (0,)",
+            "simplex (0, 1) missing vertex (0,)",
+            "simplex (2, 3) missing face (3,)",
+            "simplex (2, 3) missing face (2,)",
+            "simplex (2, 3) missing vertex (2,)",
+            "simplex (2, 3) missing vertex (3,)",
+            "simplex (4, 5) missing face (5,)",
+            "simplex (4, 5) missing vertex (5,)",
+            "simplex (0, 1, 2) missing face (1, 2)",
+            "simplex (0, 1, 2) missing face (0, 2)",
+            "simplex (0, 1, 2) missing vertex (0,)",
+            "simplex (0, 1, 2) missing vertex (2,)",
+            "simplex (5, 6, 7) missing face (6, 7)",
+            "simplex (5, 6, 7) missing face (5, 7)",
+            "simplex (5, 6, 7) missing face (5, 6)",
+            "simplex (5, 6, 7) missing vertex (5,)",
+            "simplex (5, 6, 7) missing vertex (6,)",
+            "simplex (5, 6, 7) missing vertex (7,)",
+            "simplex (0, 1, 2, 3) missing face (1, 2, 3)",
+            "simplex (0, 1, 2, 3) missing face (0, 2, 3)",
+            "simplex (0, 1, 2, 3) missing face (0, 1, 3)",
+            "simplex (0, 1, 2, 3) missing vertex (0,)",
+            "simplex (0, 1, 2, 3) missing vertex (2,)",
+            "simplex (0, 1, 2, 3) missing vertex (3,)",
+        ]
+
+    @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4),
+                    max_size=12))
+    def test_matches_walk_over_sorted_complex(self, vertex_sets):
+        # every simplex in canonical order, faces then vertices
+        c = SimplicialComplex(Simplex(v) for v in vertex_sets)
+        expected = []
+        for s in sorted(c.simplices, key=simplex_sort_key):
+            if s.dimension == 0:
+                continue
+            expected += [f"simplex {s.vertices} missing face {f.vertices}"
+                         for f in s.faces() if f not in c]
+            expected += [f"simplex {s.vertices} missing vertex ({v},)"
+                         for v in s if Simplex((v,)) not in c]
+        assert validate_complex(c) == expected
+
 
 class TestChain:
     def test_requires_uniform_dimension(self):
@@ -121,6 +168,16 @@ class TestFiltration:
         for k in range(1, len(f) + 1):
             prefix = SimplicialComplex(s for s, _ in f.entries[:k])
             assert validate_complex(prefix) == []
+
+    def test_nan_scale_rejected(self):
+        # unrejected, NaN would leave the entries unsorted by scale
+        with pytest.raises(ValueError, match="NaN"):
+            Filtration([(Simplex((0,)), 2.0), (Simplex((1,)), math.nan),
+                        (Simplex((2,)), 0.0)])
+
+    def test_validate_flags_duplicate_entry(self):
+        f = Filtration([(Simplex((0,)), 0.0), (Simplex((0,)), 1.0)])
+        assert f.validate() == ["duplicate entry (0,)"]
 
     def test_validate_flags_late_face(self):
         f = Filtration([(Simplex((0,)), 0.0), (Simplex((1,)), 0.0),

@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_reduction_diagram, union_find_h0
-from ripsph.core import Filtration, PersistencePair, Simplex
+from ripsph.core import (Filtration, PersistenceDiagram, PersistencePair,
+                         Simplex)
 from ripsph.errors import InvalidFiltration, RipsphError
 from ripsph.homology import betti_numbers
 from ripsph.metrics import pairwise_distances
@@ -122,11 +125,16 @@ class TestBettiAtScale:
         d = persistence_diagram(unit_square_filtration(), max_dim=1)
         assert betti_at_scale(d, 100.0) == (1, 0)
 
+    def test_nan_scale_rejected(self):
+        d = persistence_diagram(unit_square_filtration(), max_dim=1)
+        with pytest.raises(ValueError):
+            betti_at_scale(d, math.nan)
+
     def test_agrees_with_static_homology(self):
         rng = random.Random(59)
         for _ in range(10):
             f = random_cloud_filtration(rng, n_max=8, max_dim=1)
-            d = persistence_diagram(f, drop_zero=False, max_dim=1)
+            d = persistence_diagram(f, max_dim=1)
             for s in f.scales():
                 static = betti_numbers(complex_at_scale(f, s), 1)
                 assert betti_at_scale(d, s, max_dim=1) == static
@@ -139,6 +147,12 @@ class TestSignificantFeatures:
         # H0 deaths at 1.0 pass (persistence exactly 1.0); H1 bar 0.414 dropped
         assert len(filtered.in_dimension(1)) == 0
         assert len(filtered.in_dimension(0)) == 4
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan])
+    def test_negative_or_nan_threshold_rejected(self, threshold):
+        d = persistence_diagram(unit_square_filtration(), max_dim=1)
+        with pytest.raises(ValueError):
+            significant_features(d, threshold)
 
     def test_threshold_zero_is_identity(self):
         d = persistence_diagram(unit_square_filtration())
@@ -179,3 +193,59 @@ class TestDiagramCsv:
     def test_malformed_row_rejected(self):
         with pytest.raises(RipsphError):
             read_diagram_csv("dim,birth,death\n0,zero,1")
+
+
+def seeded_cloud(seed, n, grid=False):
+    """n seeded points in 2-D or 3-D; on an integer grid, many distances tie."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    if grid:
+        return rng.integers(0, 3, size=(n, dim)).astype(float)
+    return rng.uniform(0.0, 1.0, size=(n, dim))
+
+
+def full_rips(pts, max_dim=2):
+    m = pairwise_distances(pts)
+    return build_rips(m, RipsParams(max_dim, float(m.max())))
+
+
+class TestProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8),
+           grid=st.booleans())
+    def test_invariant_under_point_permutation(self, seed, n, grid):
+        pts = seeded_cloud(seed, n, grid)
+        order = np.random.default_rng(seed + 1).permutation(n)
+        d = persistence_diagram(full_rips(pts), max_dim=2)
+        permuted = full_rips(pts[order])
+        assert persistence_diagram(permuted, max_dim=2) == d
+        assert naive_reduction_diagram(permuted, max_dim=2) == as_multiset(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 7),
+           grid=st.booleans())
+    def test_duplicated_point_leaves_diagram_unchanged(self, seed, n, grid):
+        # the copy is dominated by its twin at every scale; its own H0 class
+        # is born and killed at 0 and dropped as a zero-length pair
+        pts = seeded_cloud(seed, n, grid)
+        twin = int(np.random.default_rng(seed + 1).integers(n))
+        doubled = full_rips(np.concatenate([pts, pts[twin:twin + 1]]))
+        d = persistence_diagram(full_rips(pts), max_dim=2)
+        assert persistence_diagram(doubled, max_dim=2) == d
+        assert naive_reduction_diagram(doubled, max_dim=2) == as_multiset(d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 9))
+    def test_tied_integer_grid_matches_oracle(self, seed, n):
+        f = full_rips(seeded_cloud(seed, n, grid=True))
+        assert (as_multiset(persistence_diagram(f, max_dim=2))
+                == naive_reduction_diagram(f, max_dim=2))
+
+    @given(st.lists(st.tuples(
+        st.integers(0, 3),
+        st.floats(-1e6, 1e6),
+        st.one_of(st.just(math.inf), st.floats(0.0, 1e6))), max_size=20))
+    def test_diagram_csv_roundtrip(self, rows):
+        d = PersistenceDiagram(PersistencePair(dim, birth, birth + length)
+                               for dim, birth, length in rows)
+        assert read_diagram_csv(write_diagram_csv(d)) == d
