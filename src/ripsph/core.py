@@ -89,11 +89,6 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max((s.dimension for s in self.simplices), default=-1)
 
-    def simplices_of_dim(self, k: int) -> list[Simplex]:
-        """k-simplices in canonical (lexicographic) order."""
-        return sorted((s for s in self.simplices if s.dimension == k),
-                      key=simplex_sort_key)
-
     def counts(self) -> list[int]:
         """Number of simplices per dimension, index = dimension."""
         out = [0] * (self.dimension + 1)

@@ -38,7 +38,8 @@ class DimensionTooLarge(RipsphError):
 
 
 class InvalidFiltration(RipsphError):
-    """A filtration column references a face that does not precede it."""
+    """A simplex repeats, or one of its faces is missing or does not precede
+    it: in a filtration's order, or in a complex that is not closed."""
 
 
 class NotACycle(RipsphError):

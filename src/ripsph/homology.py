@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Chain, Simplex, SimplicialComplex
-from .errors import NotACycle
+from .core import Chain, Simplex, SimplicialComplex, simplex_sort_key
+from .errors import InvalidFiltration, NotACycle
 
 
 def boundary_of_simplex(s: Simplex) -> Chain:
@@ -46,20 +46,50 @@ class BoundaryMatrixZ2:
         return (len(self.rows), len(self.cols))
 
 
+def _boundary_columns(simplices: Iterable[Simplex]) -> tuple[list, dict, dict]:
+    """The one place where faces become boundary rows. Walks simplices given
+    faces first and returns each one's boundary column, the walk positions of
+    each dimension, and each simplex's row (its position within its dimension)
+    by vertex tuple. Raises InvalidFiltration when a simplex repeats or one of
+    its faces is missing or comes later."""
+    columns: list[int] = []
+    by_dim: dict[int, list[int]] = {}
+    row_of: dict[tuple[int, ...], int] = {}
+    for i, s in enumerate(simplices):
+        v = s.vertices
+        if v in row_of:
+            raise InvalidFiltration(f"duplicate entry {v}")
+        bits = 0
+        if len(v) > 1:  # a vertex has no faces
+            for k in range(len(v)):
+                face = v[:k] + v[k + 1:]
+                row = row_of.get(face)
+                if row is None:
+                    raise InvalidFiltration(f"face {face} of {v} is missing or comes later")
+                bits |= 1 << row
+        columns.append(bits)
+        same_dim = by_dim.setdefault(len(v) - 1, [])
+        row_of[v] = len(same_dim)
+        same_dim.append(i)
+    return columns, by_dim, row_of
+
+
+def _complex_columns(c: SimplicialComplex, top: int) -> tuple:
+    """The simplices of dimension <= top in canonical order, followed by
+    what _boundary_columns returns for them."""
+    cells = sorted((s for s in c.simplices if s.dimension <= top), key=simplex_sort_key)
+    return (cells, *_boundary_columns(cells))
+
+
 def build_boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrixZ2:
     """Matrix of delta_k; empty (0-column) matrix if no k-simplices exist."""
     if k < 1:
         raise ValueError("boundary matrices start at k = 1")
-    rows = tuple(c.simplices_of_dim(k - 1))
-    cols = tuple(c.simplices_of_dim(k))
-    row_index = {s: i for i, s in enumerate(rows)}
-    columns = []
-    for s in cols:
-        bits = 0
-        for face in s.faces():
-            bits |= 1 << row_index[face]
-        columns.append(bits)
-    return BoundaryMatrixZ2(rows, cols, tuple(columns))
+    cells, columns, by_dim, _ = _complex_columns(c, k)
+    cols = by_dim.get(k, [])
+    return BoundaryMatrixZ2(tuple(cells[i] for i in by_dim.get(k - 1, [])),
+                            tuple(cells[j] for j in cols),
+                            tuple(columns[j] for j in cols))
 
 
 def _reduce(columns: list[int], order: Iterable[int],
@@ -94,16 +124,14 @@ def betti_numbers(c: SimplicialComplex, max_k: int) -> tuple[int, ...]:
 
     Ordinary (non-reduced) homology: beta_0 counts connected components.
     """
-    counts = c.counts()
+    columns, by_dim = _complex_columns(c, max_k + 1)[1:3]
     ranks = [0] * (max_k + 2)
     for k in range(1, max_k + 2):
-        if k <= c.dimension:
-            ranks[k] = rank_z2(build_boundary_matrix(c, k))
-    betti = []
-    for k in range(max_k + 1):
-        n_k = counts[k] if k < len(counts) else 0
-        betti.append(n_k - ranks[k] - ranks[k + 1])
-    return tuple(betti)
+        owner: dict[int, int] = {}
+        _reduce(columns, by_dim.get(k, []), owner)
+        ranks[k] = len(owner)
+    return tuple(len(by_dim.get(k, [])) - ranks[k] - ranks[k + 1]
+                 for k in range(max_k + 1))
 
 
 def are_homologous(c1: Chain, c2: Chain, complex_: SimplicialComplex) -> bool:
@@ -118,16 +146,14 @@ def are_homologous(c1: Chain, c2: Chain, complex_: SimplicialComplex) -> bool:
     if diff.is_zero:
         return True
     k = c1.dimension
-    rows = complex_.simplices_of_dim(k)
-    row_index = {s: i for i, s in enumerate(rows)}
+    _, columns, by_dim, row_of = _complex_columns(complex_, k + 1)
     target = 0
     for s in diff:
-        if s not in row_index:
+        row = row_of.get(s.vertices)
+        if row is None:
             raise ValueError(f"{s!r} is not a simplex of the complex")
-        target |= 1 << row_index[s]
-    if k + 1 > complex_.dimension:
-        return False
-    columns = list(build_boundary_matrix(complex_, k + 1).columns) + [target]
+        target |= 1 << row
+    columns.append(target)
     # the target reduces to zero iff it is a sum of the boundary columns
-    _reduce(columns, range(len(columns)), {})
+    _reduce(columns, by_dim.get(k + 1, []) + [len(columns) - 1], {})
     return columns[-1] == 0

@@ -9,50 +9,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 from .core import Filtration, PersistenceDiagram, PersistencePair
-from .errors import InvalidFiltration, RipsphError
-from .homology import _reduce
+from .errors import RipsphError
+from .homology import _boundary_columns, _reduce
 
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """pairing maps death column index -> birth row index; essential holds
-    filtration indices of classes that never die."""
+    """pairing maps death filtration index -> birth filtration index;
+    essential holds filtration indices of classes that never die."""
 
     pairing: dict[int, int]
     essential: frozenset[int]
-
-
-def _boundary_columns(f: Filtration) -> tuple[list[int], dict[int, list[int]]]:
-    """Boundary column of every entry, and the entries of each dimension in
-    filtration order. A column's rows are its faces' positions among the
-    entries one dimension down, so it is only as wide as that dimension."""
-    index_of = {s: i for i, (s, _) in enumerate(f.entries)}
-    columns: list[int] = []
-    by_dim: dict[int, list[int]] = {}
-    row_of: list[int] = []  # entry index -> position within its dimension
-    for i, (s, _) in enumerate(f.entries):
-        bits = 0
-        for face in s.faces():
-            j = index_of.get(face)
-            if j is None or j >= i:
-                raise InvalidFiltration(
-                    f"face {face.vertices} of {s.vertices} does not precede it")
-            bits |= 1 << row_of[j]
-        columns.append(bits)
-        same_dim = by_dim.setdefault(s.dimension, [])
-        row_of.append(len(same_dim))
-        same_dim.append(i)
-    return columns, by_dim
 
 
 def reduce_filtration(f: Filtration) -> ReductionResult:
     """Column reduction: repeatedly cancel a column's lowest one against the
     earlier column owning that pivot; surviving lowest ones are (birth,
     death) pairs, zero columns not used as births are essential."""
-    columns, by_dim = _boundary_columns(f)
+    columns, by_dim = _boundary_columns(s for s, _ in f.entries)[:2]
     pairing: dict[int, int] = {}
     for d in range(max(by_dim, default=0), 0, -1):
         owner: dict[int, int] = {}  # row among the (d-1)-simplices -> column

@@ -6,7 +6,7 @@ from conftest import (hexagon_complex, octahedron_boundary, torus_7,
                       two_hexagons)
 from oracles import naive_gf2_rank
 from ripsph.core import Chain, Simplex, SimplicialComplex
-from ripsph.errors import NotACycle
+from ripsph.errors import NotACycle, RipsphError
 from ripsph.homology import (BoundaryMatrixZ2, are_homologous, betti_numbers,
                              boundary_of_chain, boundary_of_simplex,
                              build_boundary_matrix, is_cycle, rank_z2)
@@ -90,6 +90,59 @@ class TestBoundaryMatrix:
         m = build_boundary_matrix(c, 2)
         assert m.shape == (6, 0)
         assert rank_z2(m) == 0
+
+
+def dense_boundary(c: SimplicialComplex, k: int):
+    """delta_k as a 0/1 row list over sorted simplices, from faces() alone."""
+    rows = sorted(s for s in c.simplices if s.dimension == k - 1)
+    cols = sorted(s for s in c.simplices if s.dimension == k)
+    return rows, cols, [[int(r in s.faces()) for s in cols] for r in rows]
+
+
+def random_closed_complex(rng: random.Random) -> SimplicialComplex:
+    maximal = [Simplex(rng.sample(range(9), rng.randint(1, 5)))
+               for _ in range(rng.randint(1, 8))]
+    return SimplicialComplex.from_maximal(maximal)
+
+
+class TestAgainstDenseOracle:
+    def test_boundary_matrix_columns(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            c = random_closed_complex(rng)
+            for k in range(1, c.dimension + 2):
+                rows, cols, dense = dense_boundary(c, k)
+                m = build_boundary_matrix(c, k)
+                assert (list(m.rows), list(m.cols)) == (rows, cols)
+                assert list(m.columns) == [
+                    sum(dense[i][j] << i for i in range(len(rows)))
+                    for j in range(len(cols))]
+
+    def test_betti_numbers(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            c = random_closed_complex(rng)
+            top = c.dimension
+            ranks = [0] + [naive_gf2_rank(dense_boundary(c, k)[2])
+                           for k in range(1, top + 2)] + [0]
+            counts = c.counts()
+            expected = tuple(counts[k] - ranks[k] - ranks[k + 1]
+                             for k in range(top + 1))
+            assert betti_numbers(c, top) == expected
+
+
+class TestMissingFace:
+    # the edge (0, 1) is present but its vertex (1,) is not
+    broken = SimplicialComplex([Simplex((0,)), Simplex((0, 1))])
+
+    @pytest.mark.parametrize("call", [
+        lambda c: betti_numbers(c, 1),
+        lambda c: build_boundary_matrix(c, 1),
+        lambda c: are_homologous(Chain(0, [Simplex((0,))]), Chain(0), c),
+    ], ids=["betti_numbers", "build_boundary_matrix", "are_homologous"])
+    def test_names_simplex_and_face(self, call):
+        with pytest.raises(RipsphError, match=r"face \(1,\) of \(0, 1\)"):
+            call(self.broken)
 
 
 class TestRankZ2:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,24 @@ class TestReduce:
         f = Filtration([(Simplex((0,)), 0.0), (Simplex((0, 1)), 0.5)])
         with pytest.raises(InvalidFiltration):
             reduce_filtration(f)
+        # the face (1,) exists but enters after its edge
+        f = Filtration([(Simplex((0,)), 0.0), (Simplex((1,)), 1.0),
+                        (Simplex((0, 1)), 0.5)])
+        with pytest.raises(InvalidFiltration, match=r"face \(1,\) of \(0, 1\)"):
+            reduce_filtration(f)
+
+    @pytest.mark.parametrize("entries, repeated", [
+        # reduced unchecked, a repeated edge gives a phantom H1 class [2, inf)
+        ([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0), ((0, 1), 2.0)], "(0, 1)"),
+        # and a repeated vertex two essential H0 classes
+        ([((0,), 0.0), ((0,), 1.0)], "(0,)"),
+    ])
+    @pytest.mark.parametrize("reduce", [reduce_filtration, persistence_diagram])
+    def test_duplicate_entry_rejected(self, entries, repeated, reduce):
+        f = Filtration((Simplex(v), scale) for v, scale in entries)
+        with pytest.raises(InvalidFiltration,
+                           match=re.escape(f"duplicate entry {repeated}")):
+            reduce(f)
 
     def test_clearing_matches_plain_reduction(self):
         # the oracle reduces without clearing; the H0-H2 clouds are compared
