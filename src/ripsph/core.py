@@ -7,16 +7,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator
 
+from .errors import InvalidFiltration
 
-@dataclass(frozen=True, order=True)
-class Simplex:
-    """A simplex as a canonical (strictly increasing) tuple of vertex ids."""
 
-    vertices: tuple[int, ...]
+class Simplex(tuple):
+    """A simplex as its canonical (strictly increasing) tuple of vertex ids;
+    it equals, hashes and orders like that plain tuple: Simplex((1, 0)) == (0, 1)."""
 
-    def __init__(self, vertices: Iterable[int]):
+    __slots__ = ()
+
+    def __new__(cls, vertices: Iterable[int]) -> "Simplex":
         verts = tuple(sorted(vertices))
         if not verts:
             raise ValueError("simplex must have at least one vertex")
@@ -25,46 +28,40 @@ class Simplex:
                 raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
         if any(a == b for a, b in zip(verts, verts[1:])):
             raise ValueError(f"duplicate vertices in {verts}")
-        object.__setattr__(self, "vertices", verts)
+        return tuple.__new__(cls, verts)
 
     @classmethod
     def _canonical(cls, vertices: tuple[int, ...]) -> "Simplex":
         """Unchecked constructor for a tuple already strictly increasing and
         made of non-negative ints, such as a face of an existing simplex."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "vertices", vertices)
-        return s
+        return tuple.__new__(cls, vertices)
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """The vertex ids as a plain tuple."""
+        return tuple(self)
 
     @property
     def dimension(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
     def faces(self) -> list["Simplex"]:
         """All codimension-1 faces (empty list for a vertex)."""
-        if self.dimension == 0:
+        if len(self) == 1:
             return []
-        v = self.vertices
-        return [Simplex._canonical(v[:i] + v[i + 1:]) for i in range(len(v))]
+        return [Simplex._canonical(self[:i] + self[i + 1:]) for i in range(len(self))]
 
     def subfaces(self) -> Iterator["Simplex"]:
         """Every proper non-empty face, all dimensions."""
-        v = self.vertices
-        n = len(v)
-        for mask in range(1, (1 << n) - 1):
-            yield Simplex(tuple(v[i] for i in range(n) if mask >> i & 1))
-
-    def __contains__(self, vertex: int) -> bool:
-        return vertex in self.vertices
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
+        for k in range(1, len(self)):
+            yield from map(Simplex._canonical, combinations(self, k))
 
     def __repr__(self) -> str:
         return f"Simplex{self.vertices}"
 
 
-def simplex_sort_key(s: Simplex) -> tuple[int, tuple[int, ...]]:
-    return (s.dimension, s.vertices)
+def simplex_sort_key(s: Simplex) -> tuple[int, Simplex]:
+    return (len(s), s)
 
 
 @dataclass(frozen=True)
@@ -108,14 +105,14 @@ def validate_complex(c: SimplicialComplex) -> list[str]:
 
     Each violation names the offending simplex and the missing face.
     """
-    present = {s.vertices for s in c.simplices}
+    present = c.simplices  # a Simplex is found by its plain vertex tuple
     found = []  # (sort key, messages) of the violators only
-    for s in c.simplices:
-        v = s.vertices
-        if len(v) > 1:
-            missing = [f"simplex {v} missing face {face}" for face in
-                       (v[:i] + v[i + 1:] for i in range(len(v))) if face not in present]
-            missing += [f"simplex {v} missing vertex ({u},)" for u in v if (u,) not in present]
+    for s in present:
+        if len(s) > 1:
+            missing = [f"simplex {s.vertices} missing face {face}" for face in
+                       (s[:i] + s[i + 1:] for i in range(len(s))) if face not in present]
+            missing += [f"simplex {s.vertices} missing vertex ({u},)"
+                        for u in s if (u,) not in present]
             if missing:
                 found.append((simplex_sort_key(s), missing))
     # keys are distinct, so sorting never compares the message lists
@@ -158,11 +155,11 @@ class Chain:
         return iter(self.simplices)
 
 
-def filtration_sort_key(entry: tuple[Simplex, float]) -> tuple[float, int, tuple[int, ...]]:
+def filtration_sort_key(entry: tuple[Simplex, float]) -> tuple[float, int, Simplex]:
     s, scale = entry
     if math.isnan(scale):
         raise ValueError("filtration scales must not be NaN")
-    return (scale, s.dimension, s.vertices)
+    return (scale, len(s), s)
 
 
 @dataclass(frozen=True)
@@ -191,18 +188,14 @@ class Filtration:
         return sorted({scale for _, scale in self.entries})
 
     def validate(self) -> list[str]:
-        """Check that every face appears earlier, so (sorted by scale) no later."""
-        violations = []
-        seen: set[Simplex] = set()
-        for s, _ in self.entries:
-            if s in seen:
-                violations.append(f"duplicate entry {s.vertices}")
-            for face in s.faces():
-                if face not in seen:
-                    violations.append(
-                        f"face {face.vertices} of {s.vertices} missing or later")
-            seen.add(s)
-        return violations
+        """[] if every entry is new and its faces come earlier, else the
+        message of the InvalidFiltration that persistence_diagram raises."""
+        from .homology import _boundary_columns  # homology imports core
+        try:
+            _boundary_columns(s for s, _ in self.entries)
+        except InvalidFiltration as e:
+            return [str(e)]
+        return []
 
 
 @dataclass(frozen=True, order=True)

@@ -50,26 +50,27 @@ def _boundary_columns(simplices: Iterable[Simplex]) -> tuple[list, dict, dict]:
     """The one place where faces become boundary rows. Walks simplices given
     faces first and returns each one's boundary column, the walk positions of
     each dimension, and each simplex's row (its position within its dimension)
-    by vertex tuple. Raises InvalidFiltration when a simplex repeats or one of
-    its faces is missing or comes later."""
+    keyed by the simplex, which its plain vertex tuple also finds. Raises
+    InvalidFiltration when a simplex repeats or one of its faces is missing or
+    comes later."""
     columns: list[int] = []
     by_dim: dict[int, list[int]] = {}
-    row_of: dict[tuple[int, ...], int] = {}
+    row_of: dict[Simplex, int] = {}
     for i, s in enumerate(simplices):
-        v = s.vertices
-        if v in row_of:
-            raise InvalidFiltration(f"duplicate entry {v}")
+        if s in row_of:
+            raise InvalidFiltration(f"duplicate entry {s.vertices}")
         bits = 0
-        if len(v) > 1:  # a vertex has no faces
-            for k in range(len(v)):
-                face = v[:k] + v[k + 1:]
+        if len(s) > 1:  # a vertex has no faces
+            for k in range(len(s)):
+                face = s[:k] + s[k + 1:]  # a plain tuple, found as the Simplex
                 row = row_of.get(face)
                 if row is None:
-                    raise InvalidFiltration(f"face {face} of {v} is missing or comes later")
+                    raise InvalidFiltration(
+                        f"face {face} of {s.vertices} is missing or comes later")
                 bits |= 1 << row
         columns.append(bits)
-        same_dim = by_dim.setdefault(len(v) - 1, [])
-        row_of[v] = len(same_dim)
+        same_dim = by_dim.setdefault(len(s) - 1, [])
+        row_of[s] = len(same_dim)
         same_dim.append(i)
     return columns, by_dim, row_of
 
@@ -149,7 +150,7 @@ def are_homologous(c1: Chain, c2: Chain, complex_: SimplicialComplex) -> bool:
     _, columns, by_dim, row_of = _complex_columns(complex_, k + 1)
     target = 0
     for s in diff:
-        row = row_of.get(s.vertices)
+        row = row_of.get(s)
         if row is None:
             raise ValueError(f"{s!r} is not a simplex of the complex")
         target |= 1 << row

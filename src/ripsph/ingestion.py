@@ -82,16 +82,19 @@ def parse_pdb(source: Union[str, bytes, IO], chain: Optional[str] = None) -> np.
 
 
 def load_csv(source: Union[str, bytes, IO]) -> np.ndarray:
-    """Parse comma-separated coordinates; a non-numeric first row is a header."""
+    """Parse comma-separated coordinates; a first non-blank row that is not
+    numeric is a header."""
     text = _as_text(source)
     rows: list[list[float]] = []
     width: Optional[int] = None
+    first = True
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\r")
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]
-        if lineno == 1 and not rows:
+        if first:
+            first = False
             try:
                 float(fields[0])
             except ValueError:

@@ -1,12 +1,13 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ripsph.core import (Chain, Filtration, PersistencePair, Simplex,
-                         SimplicialComplex, simplex_sort_key,
-                         validate_complex)
+                         SimplicialComplex, filtration_sort_key,
+                         simplex_sort_key, validate_complex)
 
 vertex_sets = st.sets(st.integers(min_value=0, max_value=30), min_size=1,
                       max_size=6)
@@ -53,6 +54,51 @@ class TestSimplex:
 
     def test_subfaces_of_triangle(self):
         assert len(list(Simplex((0, 1, 2)).subfaces())) == 6
+
+
+class TestSimplexIsItsVertexTuple:
+    def test_equals_and_hashes_like_sorted_tuple(self):
+        s = Simplex((2, 0, 1))
+        assert s == (0, 1, 2)
+        assert hash(s) == hash((0, 1, 2))
+        assert s != (2, 0, 1)
+
+    def test_found_by_plain_tuple_key(self):
+        rows = {(0, 1): 7, (2,): 3}
+        assert rows[Simplex((1, 0))] == 7
+        assert Simplex((2,)) in rows
+        assert (0, 1) in {Simplex((0, 1))}
+
+    @given(st.lists(st.tuples(vertex_sets, st.sampled_from([0.0, 0.5, 1.0])),
+                    max_size=12))
+    def test_orders_as_dimension_vertices_keys(self, entries):
+        # the keys before Simplex became a tuple: (dimension, vertex tuple)
+        simplices = [Simplex(v) for v, _ in entries]
+        assert sorted(simplices) == sorted(simplices, key=lambda s: s.vertices)
+        assert (sorted(simplices, key=simplex_sort_key)
+                == sorted(simplices, key=lambda s: (s.dimension, s.vertices)))
+        pairs = [(s, scale) for s, (_, scale) in zip(simplices, entries)]
+        assert (sorted(pairs, key=filtration_sort_key)
+                == sorted(pairs, key=lambda e: (e[1], e[0].dimension, e[0].vertices)))
+
+    def test_immutable(self):
+        s = Simplex((0, 1))
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        with pytest.raises(AttributeError):
+            s.vertices = (2, 3)
+
+    def test_vertices_is_plain_tuple(self):
+        v = Simplex((1, 0)).vertices
+        assert type(v) is tuple
+        assert v == (0, 1)
+
+    def test_pickle_round_trip(self):
+        s = Simplex((3, 1, 2))
+        back = pickle.loads(pickle.dumps(s))
+        assert type(back) is Simplex
+        assert back == s
+        assert repr(back) == "Simplex(1, 2, 3)"
 
 
 class TestValidateComplex:
@@ -184,7 +230,7 @@ class TestFiltration:
                         (Simplex((0, 1)), 0.5)])
         assert f.validate() == []
         bad = Filtration([(Simplex((0,)), 0.0), (Simplex((0, 1)), 0.5)])
-        assert bad.validate() != []
+        assert bad.validate() == ["face (1,) of (0, 1) is missing or comes later"]
 
 
 class TestPersistencePair:

@@ -91,6 +91,16 @@ class TestLoadCsv:
         cloud = load_csv("x,y,z\n0,0,0\n1,0,0")
         assert cloud.shape == (2, 3)
 
+    def test_header_after_blank_lines(self):
+        cloud = load_csv("\nx,y\n0,0\n3,4\n")
+        assert cloud.tolist() == [[0.0, 0.0], [3.0, 4.0]]
+        assert load_csv("\r\n \r\nx,y\r\n1,2\r\n").tolist() == [[1.0, 2.0]]
+
+    def test_only_one_header(self):
+        with pytest.raises(NonNumeric) as exc:
+            load_csv("\nx,y\nx,y\n0,0")
+        assert exc.value.line_number == 3
+
     def test_single_value(self):
         cloud = load_csv("0.5")
         assert cloud.shape == (1, 1)
