@@ -136,11 +136,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"complex violations: {len(complex_violations)}")
         for v in complex_violations:
             print(f"  {v}")
-        # every entry is in the complex at the threshold, so its Betti
-        # numbers count the classes that never die
         diagram = persistence_diagram(filtration, max_dim=k)
-        betti = _feature_counts((p for p in diagram if p.is_essential), k)
-        print(write_betti_table(betti), end="")
+        print(write_betti_table(betti_at_scale(diagram, args.threshold, max_dim=k)), end="")
     return 0
 
 

@@ -21,12 +21,10 @@ def boundary_of_simplex(s: Simplex) -> Chain:
 
 def boundary_of_chain(c: Chain) -> Chain:
     """GF(2) sum of member boundaries; shared faces cancel in pairs."""
-    if c.dimension <= 0:
-        return Chain(c.dimension - 1)
-    out = Chain(c.dimension - 1)
+    faces: set[Simplex] = set()
     for s in c:
-        out = out + boundary_of_simplex(s)
-    return out
+        faces.symmetric_difference_update(s.faces())
+    return Chain(c.dimension - 1, faces)
 
 
 def is_cycle(c: Chain) -> bool:

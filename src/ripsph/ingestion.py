@@ -19,14 +19,14 @@ _Z = slice(46, 54)
 
 
 def _as_text(source: Union[str, bytes, IO]) -> str:
-    if isinstance(source, bytes):
-        return source.decode("ascii", errors="replace")
-    if isinstance(source, str):
-        return source
-    data = source.read()
+    """The text of source without a leading UTF-8 byte-order mark, which
+    would otherwise turn a first CSV row into a header or hide a first
+    ATOM record. Bytes decode as ASCII, one character per byte, so the
+    PDB columns stay aligned."""
+    data = source if isinstance(source, (str, bytes)) else source.read()
     if isinstance(data, bytes):
-        return data.decode("ascii", errors="replace")
-    return data
+        return data.removeprefix(b"\xef\xbb\xbf").decode("ascii", errors="replace")
+    return data.removeprefix("\ufeff")
 
 
 def as_point_cloud(rows: list[list[float]]) -> np.ndarray:

@@ -79,14 +79,15 @@ def persistence_diagram(f: Filtration,
 def betti_at_scale(d: PersistenceDiagram, s: float,
                    max_dim: int | None = None) -> tuple[int, ...]:
     """beta_k at scale s: pairs alive on the half-open interval
-    birth <= s < death."""
+    birth <= s < death; an essential class is alive at every s >= birth,
+    s = inf included."""
     if math.isnan(s):
         raise ValueError("scale must not be NaN")
     if max_dim is None:
         max_dim = max(d.max_dimension, 0)
     betti = [0] * (max_dim + 1)
     for p in d:
-        if p.dimension <= max_dim and p.birth <= s < p.death:
+        if p.dimension <= max_dim and p.birth <= s and (s < p.death or p.is_essential):
             betti[p.dimension] += 1
     return tuple(betti)
 

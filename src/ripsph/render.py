@@ -6,7 +6,7 @@ byte-identical across runs for identical inputs, diff-able in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import PersistenceDiagram
 from .errors import EmptyDiagram
@@ -29,23 +29,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _resolve_cap(d: PersistenceDiagram, o: RenderOptions) -> float:
-    finite = [p.death for p in d if not p.is_essential]
-    default = 1.05 * max(finite) if finite else 1.0
-    cap = o.cap if o.cap is not None else default
-    if finite and cap <= max(finite):
-        raise ValueError("cap must exceed every finite death")
-    return cap
-
-
 def _color(o: RenderOptions, dim: int) -> str:
     return o.colors[dim % len(o.colors)]
-
-
-def _svg_open(o: RenderOptions) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{o.width}" height="{o.height}" '
-            f'viewBox="0 0 {o.width} {o.height}">')
 
 
 _ARROW_DEF = ('<defs><marker id="arrow" markerWidth="8" markerHeight="8" '
@@ -53,29 +38,45 @@ _ARROW_DEF = ('<defs><marker id="arrow" markerWidth="8" markerHeight="8" '
               '<path d="M0,0 L6,3 L0,6 z"/></marker></defs>')
 
 
+def _frame(d: PersistenceDiagram, o: RenderOptions) -> tuple:
+    """Set-up shared by both plots: the cap standing in for infinity, the
+    scale -> x map, the inner height, and the opening elements (svg tag,
+    background, x-axis).
+
+    The cap lies beyond every finite birth and death (by default 1.05 times
+    the largest, or 1.0 when that is 0), so it bounds both axes and an
+    essential class always runs rightwards, or upwards, to it.
+    """
+    if len(d) == 0:
+        raise EmptyDiagram("cannot render an empty diagram")
+    # death >= birth, so a pair's largest finite value is its death if finite
+    top = max(p.birth if p.is_essential else p.death for p in d)
+    cap = o.cap if o.cap is not None else (1.05 * top if top else 1.0)
+    if not top < cap < math.inf:  # also rejects NaN
+        raise ValueError("cap must be finite and exceed every finite birth and death")
+    inner_w = o.width - 2 * o.margin
+
+    def x_of(v: float) -> float:
+        return o.margin + inner_w * v / cap
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{o.width}" height="{o.height}" '
+             f'viewBox="0 0 {o.width} {o.height}">',
+             f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="white"/>',
+             f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
+             f'x2="{o.width - o.margin}" y2="{o.height - o.margin}" stroke="black"/>']
+    return cap, x_of, o.height - 2 * o.margin, parts
+
+
 def render_barcode_svg(d: PersistenceDiagram, o: RenderOptions = RenderOptions()) -> str:
     """One horizontal bar per pair, grouped by dimension, x-axis = scale.
 
     Infinite bars run to the cap and end in an arrowhead.
     """
-    if len(d) == 0:
-        raise EmptyDiagram("cannot render an empty diagram")
-    cap = _resolve_cap(d, o)
-    x_max = max(cap, max(p.birth for p in d), 1e-12)
-    inner_w = o.width - 2 * o.margin
-    inner_h = o.height - 2 * o.margin
-
-    def x_of(scale: float) -> float:
-        return o.margin + inner_w * scale / x_max
-
-    bars = sorted(d.pairs)  # groups dimensions together, then birth/death
-    step = inner_h / len(bars)
-    parts = [_svg_open(o), _ARROW_DEF,
-             f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="white"/>',
-             f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
-             f'x2="{o.width - o.margin}" y2="{o.height - o.margin}" '
-             f'stroke="black"/>']
-    for i, p in enumerate(bars):
+    cap, x_of, inner_h, parts = _frame(d, o)
+    parts.insert(1, _ARROW_DEF)
+    step = inner_h / len(d)
+    for i, p in enumerate(d):  # sorted: dimensions grouped, then birth/death
         y = o.margin + step * (i + 0.5)
         x1 = x_of(p.birth)
         x2 = x_of(cap if p.is_essential else p.death)
@@ -91,35 +92,23 @@ def render_barcode_svg(d: PersistenceDiagram, o: RenderOptions = RenderOptions()
 def render_diagram_svg(d: PersistenceDiagram, o: RenderOptions = RenderOptions()) -> str:
     """Scatter of (birth, death) points per dimension; essential classes sit
     on the cap line with a distinct (square) marker."""
-    if len(d) == 0:
-        raise EmptyDiagram("cannot render an empty diagram")
-    cap = _resolve_cap(d, o)
-    v_max = max(cap, max(p.birth for p in d), 1e-12)
-    inner_w = o.width - 2 * o.margin
-    inner_h = o.height - 2 * o.margin
-
-    def x_of(v: float) -> float:
-        return o.margin + inner_w * v / v_max
+    cap, x_of, inner_h, parts = _frame(d, o)
 
     def y_of(v: float) -> float:
-        return o.height - o.margin - inner_h * v / v_max
+        return o.height - o.margin - inner_h * v / cap
 
-    parts = [_svg_open(o),
-             f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="white"/>',
-             f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
-             f'x2="{o.width - o.margin}" y2="{o.height - o.margin}" stroke="black"/>',
-             f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
-             f'x2="{o.margin}" y2="{o.margin}" stroke="black"/>']
+    parts.append(f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
+                 f'x2="{o.margin}" y2="{o.margin}" stroke="black"/>')
     if o.draw_diagonal:
         parts.append(
             f'<line class="diagonal" x1="{_fmt(x_of(0.0))}" y1="{_fmt(y_of(0.0))}" '
-            f'x2="{_fmt(x_of(v_max))}" y2="{_fmt(y_of(v_max))}" '
+            f'x2="{_fmt(x_of(cap))}" y2="{_fmt(y_of(cap))}" '
             f'stroke="gray" stroke-dasharray="4 3"/>')
     parts.append(
         f'<line class="cap" x1="{_fmt(x_of(0.0))}" y1="{_fmt(y_of(cap))}" '
-        f'x2="{_fmt(x_of(v_max))}" y2="{_fmt(y_of(cap))}" '
+        f'x2="{_fmt(x_of(cap))}" y2="{_fmt(y_of(cap))}" '
         f'stroke="lightgray" stroke-dasharray="2 2"/>')
-    for p in sorted(d.pairs):
+    for p in d:
         color = _color(o, p.dimension)
         if p.is_essential:
             x, y = x_of(p.birth), y_of(cap)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -62,6 +63,13 @@ class TestBoundaryOfChain:
             verts = rng.sample(range(40), dim + 1)
             s = Simplex(verts)
             assert boundary_of_chain(boundary_of_simplex(s)).is_zero
+
+    def test_long_cycle_is_linear(self):
+        n = 16_000
+        cycle = Chain(1, [Simplex((i, (i + 1) % n)) for i in range(n)])
+        start = time.perf_counter()
+        assert boundary_of_chain(cycle).is_zero
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBoundaryMatrix:

@@ -85,6 +85,13 @@ class TestParsePdb:
         line = b"ATOM      1  CA  ALA A   1      11.104  13.207   2.100  1.00  0.00"
         assert parse_pdb(line).shape == (1, 3)
 
+    @pytest.mark.parametrize("bom", ["\ufeff", b"\xef\xbb\xbf"])
+    def test_byte_order_mark_keeps_first_atom(self, bom):
+        lines = "\n".join(atom_line(i, " CA ", "GLY", "A", i, float(i), 0.0, 0.0)
+                          for i in range(1, 3))
+        text = bom + (lines.encode() if isinstance(bom, bytes) else lines)
+        assert parse_pdb(text).tolist() == [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+
 
 class TestLoadCsv:
     def test_header_detected(self):
@@ -122,6 +129,11 @@ class TestLoadCsv:
     def test_empty_raises(self):
         with pytest.raises(EmptySelection):
             load_csv("")
+
+    @pytest.mark.parametrize("source", ["\ufeff0,0\n1,0\n1,1\n0,1\n",
+                                        b"\xef\xbb\xbf0,0\n1,0\n1,1\n0,1\n"])
+    def test_byte_order_mark_is_not_a_header(self, source):
+        assert load_csv(source).tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 
 class TestRoundTrip:

@@ -142,7 +142,8 @@ class TestBettiAtScale:
 
     def test_beyond_all_deaths(self):
         d = persistence_diagram(unit_square_filtration(), max_dim=1)
-        assert betti_at_scale(d, 100.0) == (1, 0)
+        for scale in (100.0, math.inf):  # an essential class lives on at inf
+            assert betti_at_scale(d, scale) == (1, 0)
 
     def test_nan_scale_rejected(self):
         d = persistence_diagram(unit_square_filtration(), max_dim=1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -15,6 +16,14 @@ def unit_square_diagram():
         PersistencePair(0, 0.0, 1.0), PersistencePair(0, 0.0, 1.0),
         PersistencePair(0, 0.0, 1.0), PersistencePair(0, 0.0, math.inf),
         PersistencePair(1, 1.0, SQRT2)])
+
+
+def late_essential_diagram():
+    """An H1 class born after every finite death, as on a circle with a gap
+    wider than the Rips threshold lets close."""
+    return PersistenceDiagram([
+        PersistencePair(0, 0.0, 0.5), PersistencePair(0, 0.0, math.inf),
+        PersistencePair(1, 1.0, math.inf)])
 
 
 class TestBarcode:
@@ -59,6 +68,9 @@ class TestDiagramPlot:
         d = unit_square_diagram()
         with pytest.raises(ValueError):
             render_diagram_svg(d, RenderOptions(cap=1.0))
+        # above every finite death, but not above the essential birth 1.0
+        with pytest.raises(ValueError):
+            render_diagram_svg(late_essential_diagram(), RenderOptions(cap=0.75))
 
     def test_default_cap_scales_with_max_death(self):
         d = PersistenceDiagram([PersistencePair(1, 0.0, 10.0)])
@@ -73,6 +85,34 @@ class TestDiagramPlot:
         d = unit_square_diagram()
         svg = render_diagram_svg(d, RenderOptions(draw_diagonal=False))
         assert 'class="diagonal"' not in svg
+
+
+class TestCapBoundsEveryValue:
+    def test_bars_run_left_to_right(self):
+        svg = render_barcode_svg(late_essential_diagram())
+        bars = re.findall(r'class="bar[^"]*" x1="([^"]+)" y1="[^"]+" x2="([^"]+)"', svg)
+        assert len(bars) == 3
+        for x1, x2 in bars:
+            assert float(x2) >= float(x1)
+
+    def test_essential_point_on_cap_line_above_diagonal(self):
+        svg = render_diagram_svg(late_essential_diagram())
+        cap_y = float(re.search(r'class="cap" x1="[^"]+" y1="([^"]+)"', svg).group(1))
+        dx1, dy1, dx2, dy2 = map(float, re.search(
+            r'class="diagonal" x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"',
+            svg).groups())
+        squares = re.findall(r'class="point dim1 essential" x="([^"]+)" y="([^"]+)"', svg)
+        assert len(squares) == 1
+        cx, cy = (float(v) + 4 for v in squares[0])  # 8x8 square centre
+        assert cy == pytest.approx(cap_y)
+        diagonal_y = dy1 + (dy2 - dy1) * (cx - dx1) / (dx2 - dx1)
+        assert cy < diagonal_y  # svg y grows downwards
+
+    @pytest.mark.parametrize("cap", [0.0, math.inf, math.nan])
+    def test_cap_must_be_finite_and_positive(self, cap):
+        d = PersistenceDiagram([PersistencePair(0, 0.0, math.inf)])
+        with pytest.raises(ValueError):
+            render_barcode_svg(d, RenderOptions(cap=cap))
 
 
 class TestBettiTable:
