@@ -18,12 +18,11 @@ from .core import PersistencePair, validate_complex
 from .errors import DimensionTooLarge, RipsphError
 from .ingestion import load_csv, parse_pdb, write_csv
 from .metrics import pairwise_distances, validate_metric
-from .persistence import (betti_at_scale, persistence_diagram,
-                          read_diagram_csv, significant_features,
-                          write_diagram_csv)
+from .persistence import (betti_at_scale, read_diagram_csv,
+                          significant_features, write_diagram_csv)
 from .render import (RenderOptions, render_barcode_svg, render_diagram_svg,
                      write_betti_table)
-from .rips import RipsParams, build_rips, complex_at_scale
+from .rips import RipsParams, build_rips, complex_at_scale, rips_persistence
 from .distances import bottleneck_distance, wasserstein_distance
 
 EXIT_PARSE = 2
@@ -72,8 +71,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         threshold = float(matrix.max())
     elif args.scale_convention == "radius":
         threshold *= 2.0  # diagrams always report diameter-convention scales
-    filtration = build_rips(matrix, RipsParams(args.max_dimension, threshold))
-    diagram = persistence_diagram(filtration, max_dim=args.max_dimension)
+    diagram = rips_persistence(matrix, args.max_dimension, threshold)
     significant = significant_features(diagram, args.min_persistence)
 
     if args.diagram_csv:
@@ -136,7 +134,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"complex violations: {len(complex_violations)}")
         for v in complex_violations:
             print(f"  {v}")
-        diagram = persistence_diagram(filtration, max_dim=k)
+        diagram = rips_persistence(matrix, k, args.threshold)
         print(write_betti_table(betti_at_scale(diagram, args.threshold, max_dim=k)), end="")
     return 0
 

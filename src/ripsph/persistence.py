@@ -1,9 +1,13 @@
-"""Persistence pairs via boundary-matrix column reduction.
+"""Persistence pairs via boundary-matrix column reduction, and diagrams.
 
-Left-to-right reduction of int-bitset columns with the clearing ("twist")
-optimization: dimensions are reduced top-down and columns already known to
-be births are zeroed unreduced, which provably yields the same pairing
-(Chen and Kerber, "Persistent homology computation with a twist", 2011).
+`reduce_filtration` is the general-filtration path: it takes any
+`Filtration` and reduces int-bitset columns left to right with the
+clearing ("twist") optimization: dimensions are reduced top-down and
+columns already known to be births are zeroed unreduced, which provably
+yields the same pairing (Chen and Kerber, "Persistent homology computation
+with a twist", 2011). Rips filtrations of point clouds go through
+`rips.rips_persistence` instead, which never lists their simplices; this
+path stays their referee in tests.
 """
 from __future__ import annotations
 

@@ -1,17 +1,34 @@
-"""Vietoris-Rips filtration construction from a distance matrix.
+"""Vietoris-Rips filtrations and their persistence, from a distance matrix.
 
 Scale values use the edge-length (diameter) convention: a simplex enters
 at the largest pairwise distance among its vertices. Callers working in
 the radius convention double their threshold before calling in.
+
+Two paths share one input check:
+
+- `build_rips` lists every simplex as a `Filtration` entry, the general
+  path that `persistence_diagram` reduces and that tests use as referee;
+- `rips_persistence` computes the diagram directly: it stops at the
+  enclosing radius, pairs H0 by union-find and H1 upwards by cohomology
+  with clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+  persistent (co)homology", 2011), on numpy arrays of vertex rows, and
+  builds a coboundary only for the few columns whose first pivot is
+  already owned, as Ripser does (Bauer, "Ripser", JACT 2021).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Filtration, Simplex, SimplicialComplex
+from .core import (Filtration, PersistenceDiagram, PersistencePair, Simplex,
+                   SimplicialComplex)
 from .errors import DimensionTooLarge, NotSquare
+
+# candidate cells per numpy pass of rips_persistence: each float64
+# temporary of a pass holds at most 2 MiB, whatever the point count
+_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -29,27 +46,33 @@ class RipsParams:
             raise ValueError("threshold must be >= 0")
 
 
+def _checked(m: np.ndarray, max_dimension: int) -> np.ndarray:
+    """m as a float64 array, after the checks both Rips paths make."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquare(f"expected a square distance matrix, got shape {m.shape}")
+    # min is NaN if any entry is; symmetry is left to validate_metric
+    if m.size and not (m.min() >= 0.0 and m.max() < np.inf):
+        i, j = np.argwhere(~(m >= 0.0) | np.isinf(m))[0]
+        raise ValueError(f"distance ({i},{j}) is {float(m[i, j])!r}; "
+                         "distances must be finite and non-negative")
+    if max_dimension + 1 >= m.shape[0]:
+        raise DimensionTooLarge(
+            f"homology dimension {max_dimension} needs more than "
+            f"{m.shape[0]} points")
+    return m
+
+
 def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     """Clique (flag) filtration: every subset whose pairwise distances are
     all <= threshold enters at its largest pairwise distance.
 
     Cliques are enumerated by incremental expansion over vertex-id-ordered
-    neighbor lists, so each clique is produced exactly once.
+    neighbor lists, so each clique is produced exactly once. Only the upper
+    triangle of m is read.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square distance matrix, got shape {m.shape}")
-    # min is NaN if any entry is; symmetry is left to validate_metric, since
-    # only the upper triangle is read
-    if m.size and not (m.min() >= 0.0 and m.max() < np.inf):
-        i, j = np.argwhere(~(m >= 0.0) | np.isinf(m))[0]
-        raise ValueError(f"distance ({i},{j}) is {float(m[i, j])!r}; "
-                         "distances must be finite and non-negative")
+    m = _checked(m, params.max_dimension)
     n = m.shape[0]
-    if params.max_dimension + 1 >= n:
-        raise DimensionTooLarge(
-            f"homology dimension {params.max_dimension} needs more than "
-            f"{n} points")
     eps = params.threshold
     max_size = params.max_dimension + 2
     neighbors = [(np.flatnonzero(m[i, i + 1:] <= eps) + i + 1).tolist()
@@ -75,3 +98,181 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
 def complex_at_scale(f: Filtration, s: float) -> SimplicialComplex:
     """The complex formed by all filtration entries with scale <= s."""
     return SimplicialComplex(simplex for simplex, scale in f if scale <= s)
+
+
+def enclosing_radius(m: np.ndarray) -> float:
+    """The smallest scale at which one vertex is within reach of all others.
+
+    From that scale on the Rips complex is a cone on that vertex, hence
+    contractible: no class of nonzero persistence is born or dies there.
+    m is not checked here; rips_persistence checks it before use.
+    """
+    return float(np.asarray(m, dtype=np.float64).max(axis=1).min())
+
+
+class _Graph:
+    """The neighbourhood graph of m at scale eps, as CSR lists: the
+    neighbours of vertex i are nbr[ptr[i]:ptr[i + 1]], ascending."""
+
+    def __init__(self, m: np.ndarray, eps: float):
+        n = m.shape[0]
+        rows, cols, block = [], [], max(1, _CELLS // n)
+        for a in range(0, n, block):
+            r, c = np.nonzero(m[a:a + block] <= eps)
+            keep = r + a != c
+            rows.append(r[keep] + a)
+            cols.append(c[keep])
+        rows, self.nbr = np.concatenate(rows), np.concatenate(cols)
+        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.m, self.eps = m, eps
+        # simplices per numpy pass, so that no pass exceeds _CELLS cells
+        self.step = max(1, _CELLS // max(1, int(np.diff(self.ptr).max())))
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges within eps, sorted by (diameter, vertices)."""
+        i = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+        up = self.nbr > i
+        s = np.column_stack((i[up], self.nbr[up]))
+        return _sorted(s, self.m[s[:, 0], s[:, 1]])
+
+    def cofaces(self, s: np.ndarray,
+                diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For simplices s (rows of sorted vertices) of diameters diam: the
+        candidate added vertices l, padded rows of the first vertex's
+        neighbours, and the diameter of each s + l, inf where s + l is
+        not a simplex within eps."""
+        first = s[:, 0]
+        start, width = self.ptr[first], self.ptr[first + 1] - self.ptr[first]
+        pos = np.arange(int(width.max(initial=0)))
+        ok = pos < width[:, None]
+        l = self.nbr[np.where(ok, start[:, None] + pos, 0)]
+        d = np.maximum(diam[:, None], self.m[first[:, None], l])
+        for v in s[:, 1:].T:
+            e = self.m[v[:, None], l]
+            ok &= (e <= self.eps) & (l != v[:, None])
+            np.maximum(d, e, out=d)
+        d[~ok] = np.inf
+        return l, d
+
+    def expand(self, s: np.ndarray,
+               diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The simplices one dimension up, each grown from its face without
+        its largest vertex, sorted by (diameter, vertices)."""
+        grown, diams = [np.empty((0, s.shape[1] + 1), np.intp)], [diam[:0]]
+        for a in range(0, len(s), self.step):
+            part = s[a:a + self.step]
+            l, d = self.cofaces(part, diam[a:a + self.step])
+            r, c = np.nonzero((l > part[:, -1:]) & (d < np.inf))
+            grown.append(np.column_stack((part[r], l[r, c])))
+            diams.append(d[r, c])
+        return _sorted(np.concatenate(grown), np.concatenate(diams))
+
+    def first_pivots(self, s: np.ndarray,
+                     diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each simplex's earliest coface: smallest diameter, then smallest
+        added vertex, which among equal diameters is the lexicographically
+        smallest vertex tuple. Returns the coface rows and diameters, inf
+        where s has no coface."""
+        pd = np.full(len(s), np.inf)
+        pl = np.zeros(len(s), np.intp)
+        for a in range(0, len(s), self.step):
+            l, d = self.cofaces(s[a:a + self.step], diam[a:a + self.step])
+            if d.shape[1]:
+                j = d.argmin(axis=1)
+                rows = np.arange(len(j))
+                pd[a:a + len(j)], pl[a:a + len(j)] = d[rows, j], l[rows, j]
+        return np.sort(np.column_stack((s, pl)), axis=1), pd
+
+    def coboundary(self, s: tuple[int, ...], diam: float) -> set:
+        """The cofaces of s as a set of (diameter, vertex tuple)."""
+        l, d = self.cofaces(np.array([s]), np.array([diam]))
+        ok = d[0] < np.inf
+        return {(dd, tuple(sorted(s + (v,))))
+                for v, dd in zip(l[0][ok].tolist(), d[0][ok].tolist())}
+
+
+def _sorted(s: np.ndarray, diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s and diam in filtration order: by diameter, then vertex tuple."""
+    order = np.lexsort((*s.T[::-1], diam))
+    return s[order], diam[order]
+
+
+def _h0(s: np.ndarray, diam: np.ndarray, n: int, pairs: list) -> set:
+    """Kruskal union-find over the edges in filtration order: each edge
+    that merges two components kills one class born at 0. Returns the
+    merging edges, which need no H1 column."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merging = set()
+    for (i, j), d in zip(s.tolist(), diam.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            merging.add((i, j))
+            pairs.append((0, 0.0, d))
+    pairs += [(0, 0.0, math.inf)] * (n - len(merging))
+    return merging
+
+
+def _cohomology(k: int, g: _Graph, s: np.ndarray, diam: np.ndarray,
+                pairs: list) -> set:
+    """Reduce the coboundaries of the k-simplices s, given in decreasing
+    filtration order. A column owns its first pivot when no earlier column
+    does; only on a collision is its coboundary built and reduced. Returns
+    the pivots, the (k+1)-simplices that need no column."""
+    tops, pivot_diam = g.first_pivots(s, diam)
+    owner: dict[tuple[int, ...], int] = {}
+    reduced: dict[int, set] = {}
+    births = diam.tolist()
+    for j, (top, death) in enumerate(zip(map(tuple, tops.tolist()),
+                                         pivot_diam.tolist())):
+        if death == math.inf:  # no coface: an essential class
+            pairs.append((k, births[j], death))
+        elif top not in owner:
+            owner[top] = j
+            pairs.append((k, births[j], death))
+        else:
+            col = g.coboundary(tuple(s[j].tolist()), births[j])
+            while col:
+                death, top = min(col)
+                i = owner.get(top)
+                if i is None:
+                    break
+                col ^= reduced.get(i) or g.coboundary(tuple(s[i].tolist()), births[i])
+            if col:
+                owner[top] = j
+                reduced[j] = col
+                pairs.append((k, births[j], death))
+            else:
+                pairs.append((k, births[j], math.inf))
+    return set(owner)
+
+
+def rips_persistence(m: np.ndarray, max_dim: int,
+                     threshold: float) -> PersistenceDiagram:
+    """H0 to H_max_dim of the Rips filtration of m up to threshold: the
+    diagram of persistence_diagram(build_rips(m, ...), max_dim) without
+    listing a single simplex of dimension max_dim + 1.
+
+    The filtration stops at min(threshold, enclosing_radius(m)), which
+    changes no pair of nonzero persistence. m must be symmetric.
+    """
+    params = RipsParams(max_dim, threshold)
+    m = _checked(m, max_dim)
+    g = _Graph(m, min(params.threshold, enclosing_radius(m)))
+    pairs: list[tuple[int, float, float]] = []
+    s, diam = g.edges()
+    cleared = _h0(s, diam, m.shape[0], pairs)
+    for k in range(1, max_dim + 1):
+        if k > 1:
+            s, diam = g.expand(s, diam)
+        keep = np.array([t not in cleared for t in map(tuple, s.tolist())], bool)
+        cleared = _cohomology(k, g, s[keep][::-1], diam[keep][::-1], pairs)
+    return PersistenceDiagram(PersistencePair(k, b, d)
+                              for k, b, d in pairs if b != d)

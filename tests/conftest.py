@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
@@ -35,6 +36,15 @@ def two_hexagons() -> SimplicialComplex:
     edges = [Simplex((i, (i + 1) % 6)) for i in range(6)]
     edges += [Simplex((6 + i, 6 + (i + 1) % 6)) for i in range(6)]
     return SimplicialComplex.from_maximal(edges)
+
+
+def seeded_cloud(seed, n, grid=False):
+    """n seeded points in 2-D or 3-D; on an integer grid, many distances tie."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    if grid:
+        return rng.integers(0, 3, size=(n, dim)).astype(float)
+    return rng.uniform(0.0, 1.0, size=(n, dim))
 
 
 @pytest.fixture

@@ -17,14 +17,16 @@ from conftest import (hexagon_complex, octahedron_boundary, torus_7,
 from oracles import (exhaustive_bottleneck, exhaustive_wasserstein,
                      naive_reduction_diagram, union_find_h0)
 from ripsph.cli import main
-from ripsph.core import Chain, PersistenceDiagram, PersistencePair, Simplex
+from ripsph.core import (Chain, Filtration, PersistenceDiagram,
+                         PersistencePair, Simplex)
 from ripsph.distances import bottleneck_distance, wasserstein_distance
 from ripsph.homology import (betti_numbers, boundary_of_chain,
                              boundary_of_simplex)
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import (betti_at_scale, persistence_diagram,
                                 read_diagram_csv, significant_features)
-from ripsph.rips import RipsParams, build_rips, complex_at_scale
+from ripsph.rips import (RipsParams, build_rips, complex_at_scale,
+                         rips_persistence)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -180,7 +182,8 @@ def test_criterion_9_dna_reproduction():
     from ripsph.ingestion import load_csv
     pts = load_csv(open(os.environ["RIPSPH_DNA_CSV"]).read())
     assert pts.shape == (111, 3)
-    _, diagram = rips_diagram(pts, max_dim=2)
+    m = pairwise_distances(pts)
+    diagram = rips_persistence(m, 2, float(m.max()))
     # operator-chosen threshold: the largest gap in sorted H1 persistences
     h1 = sorted(p.persistence for p in diagram.in_dimension(1)
                 if not p.is_essential)
@@ -191,6 +194,48 @@ def test_criterion_9_dna_reproduction():
     assert len(significant.in_dimension(1)) == 3
     assert len(significant.in_dimension(2)) == 0
     print("\nACCEPTANCE 9: PASS (111-point DNA cloud)")
+
+
+def double_helix(n, seed):
+    """n residues alternating between the two strands of a double helix:
+    10.5 residues per turn, radius 10 A, rise 3.4 A, jitter sigma 0.3 A."""
+    step, strand = np.arange(n) // 2, np.arange(n) % 2
+    angle = 2 * np.pi * step / 10.5 + np.pi * strand
+    pts = np.column_stack([10 * np.cos(angle), 10 * np.sin(angle), 3.4 * step])
+    return pts + np.random.default_rng(seed).normal(0.0, 0.3, pts.shape)
+
+
+def test_paper_shaped_double_helix_run(tmp_path):
+    # criterion 9's shape, generated: 111 points, H0-H2 at the default
+    # threshold, about 6.2M simplices below the largest distance
+    pts = double_helix(111, seed=0)
+    source, out = tmp_path / "dna.csv", tmp_path / "diagram.csv"
+    source.write_text(
+        "\n".join(",".join(repr(float(x)) for x in row) for row in pts) + "\n")
+    start = time.perf_counter()
+    assert main(["run", str(source), "--max-dimension", "2",
+                 "--diagram-csv", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed <= 20.0
+    diagram = read_diagram_csv(out.read_text())
+    m = pairwise_distances(pts)
+    skeleton = Filtration(
+        [(Simplex((v,)), 0.0) for v in range(len(pts))]
+        + [(Simplex((i, j)), float(m[i, j]))
+           for i in range(len(pts)) for j in range(i + 1, len(pts))])
+    assert (sorted((p.birth, p.death) for p in diagram.in_dimension(0))
+            == union_find_h0(skeleton))
+    assert sum(p.is_essential for p in diagram) == 1
+    # H1 referee: the boundary reduction at max_dim 1 on a smaller helix
+    small = pairwise_distances(double_helix(60, seed=0))
+    top = float(small.max())
+    reference = persistence_diagram(build_rips(small, RipsParams(1, top)),
+                                    max_dim=1)
+    full = rips_persistence(small, 2, top)
+    assert PersistenceDiagram(p for p in full if p.dimension <= 1) == reference
+    assert reference.in_dimension(1)
+    print(f"\nPAPER-SHAPED RUN: PASS (111-point double helix, H0-H2, "
+          f"{elapsed:.2f} s)")
 
 
 def test_criterion_10_run_is_deterministic(tmp_path):

@@ -180,6 +180,7 @@ class TestDistance:
     ["run", "{cloud}", "--threshold", "nan"],
     ["run", "{cloud}", "--min-persistence", "nan"],
     ["run", "{cloud}", "--scale", "nan"],
+    ["run", "{tiny}", "--max-dimension", "2"],
     ["betti", "{diagram}", "--scale", "nan"],
     ["validate", "{cloud}", "--max-dimension", "-1"],
     ["validate", "{cloud}", "--threshold", "-1"],

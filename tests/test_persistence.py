@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seeded_cloud
 from oracles import naive_reduction_diagram, union_find_h0
 from ripsph.core import (Filtration, PersistenceDiagram, PersistencePair,
                          Simplex)
@@ -213,15 +214,6 @@ class TestDiagramCsv:
     def test_malformed_row_rejected(self):
         with pytest.raises(RipsphError):
             read_diagram_csv("dim,birth,death\n0,zero,1")
-
-
-def seeded_cloud(seed, n, grid=False):
-    """n seeded points in 2-D or 3-D; on an integer grid, many distances tie."""
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(2, 4))
-    if grid:
-        return rng.integers(0, 3, size=(n, dim)).astype(float)
-    return rng.uniform(0.0, 1.0, size=(n, dim))
 
 
 def full_rips(pts, max_dim=2):

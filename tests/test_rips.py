@@ -3,12 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_rips
-from ripsph.core import validate_complex
+from conftest import seeded_cloud
+from oracles import brute_force_rips, naive_reduction_diagram
+from ripsph.core import PersistenceDiagram, PersistencePair, validate_complex
 from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
-from ripsph.rips import RipsParams, build_rips, complex_at_scale
+from ripsph.persistence import persistence_diagram
+from ripsph.rips import (RipsParams, build_rips, complex_at_scale,
+                         enclosing_radius, rips_persistence)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,3 +150,100 @@ class TestComplexAtScale:
             for simplex in c.simplices:
                 for u, v in itertools.combinations(simplex.vertices, 2):
                     assert (u, v) in present
+
+
+def reference_diagram(m, max_dim, threshold):
+    return persistence_diagram(build_rips(m, RipsParams(max_dim, threshold)),
+                               max_dim=max_dim)
+
+
+class TestEnclosingRadius:
+    def test_unit_square(self):
+        assert enclosing_radius(unit_square_matrix()) == SQRT2
+
+    def test_middle_of_a_line(self):
+        m = pairwise_distances(np.array([[0.0], [1.0], [2.0], [3.5]]))
+        assert enclosing_radius(m) == 2.0
+
+    def test_single_point(self):
+        assert enclosing_radius(np.zeros((1, 1))) == 0.0
+
+
+class TestRipsPersistence:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9),
+           grid=st.booleans(), duplicate=st.booleans(),
+           max_dim=st.integers(0, 3),
+           scale=st.sampled_from(["below", "at", "above"]))
+    def test_matches_boundary_reduction_and_oracle(self, seed, n, grid,
+                                                   duplicate, max_dim, scale):
+        pts = seeded_cloud(seed, n, grid)
+        if duplicate:
+            pts = np.concatenate([pts, pts[-1:]])
+        m = pairwise_distances(pts)
+        max_dim = min(max_dim, len(pts) - 2)
+        r = enclosing_radius(m)
+        threshold = {"below": 0.7 * r, "at": r, "above": float(m.max()) + 1.0}[scale]
+        d = rips_persistence(m, max_dim, threshold)
+        f = build_rips(m, RipsParams(max_dim, threshold))
+        assert d == persistence_diagram(f, max_dim=max_dim)
+        assert (sorted((p.dimension, p.birth, p.death) for p in d)
+                == naive_reduction_diagram(f, max_dim=max_dim))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8),
+           grid=st.booleans())
+    def test_enclosing_radius_keeps_the_diagram(self, seed, n, grid):
+        # referee path only: the clamp itself, not the engine, is on trial
+        m = pairwise_distances(seeded_cloud(seed, n, grid))
+        max_dim = min(2, n - 2)
+        assert (reference_diagram(m, max_dim, enclosing_radius(m))
+                == reference_diagram(m, max_dim, float(m.max())))
+
+    def test_all_points_equal(self):
+        m = np.zeros((5, 5))
+        expected = PersistenceDiagram([PersistencePair(0, 0.0)])
+        assert rips_persistence(m, 2, 1.0) == expected
+        assert reference_diagram(m, 2, 1.0) == expected
+
+    def test_threshold_zero(self):
+        m = unit_square_matrix()
+        expected = PersistenceDiagram([PersistencePair(0, 0.0)] * 4)
+        assert rips_persistence(m, 2, 0.0) == expected
+        assert reference_diagram(m, 2, 0.0) == expected
+
+    @pytest.mark.parametrize("max_dim", [0, 1, 2])
+    def test_fewest_points_for_the_dimension(self, max_dim):
+        pts = np.random.default_rng(max_dim).uniform(size=(max_dim + 2, 3))
+        m = pairwise_distances(pts)
+        assert (rips_persistence(m, max_dim, float(m.max()))
+                == reference_diagram(m, max_dim, float(m.max())))
+
+    def test_unit_square(self):
+        d = rips_persistence(unit_square_matrix(), 1, 2.0)
+        assert d == PersistenceDiagram(
+            [PersistencePair(0, 0.0, 1.0)] * 3 + [PersistencePair(0, 0.0),
+                                                  PersistencePair(1, 1.0, SQRT2)])
+
+    def test_dimension_too_large(self):
+        with pytest.raises(DimensionTooLarge):
+            rips_persistence(equilateral_matrix(), 2, 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (0, 0)])
+    def test_rejects_non_square_or_empty(self, shape):
+        error = DimensionTooLarge if shape == (0, 0) else NotSquare
+        with pytest.raises(error):
+            rips_persistence(np.zeros(shape), 0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_bad_entry(self, bad):
+        m = equilateral_matrix()
+        m[0, 2] = m[2, 0] = bad
+        with pytest.raises(ValueError, match=r"\(0,2\)"):
+            rips_persistence(m, 1, 2.0)
+
+    @pytest.mark.parametrize("max_dim, threshold",
+                             [(-1, 1.0), (1, -0.5), (1, math.nan)])
+    def test_rejects_bad_parameters(self, max_dim, threshold):
+        with pytest.raises(ValueError):
+            rips_persistence(unit_square_matrix(), max_dim, threshold)
