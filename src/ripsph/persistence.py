@@ -128,7 +128,7 @@ def read_diagram_csv(source: Union[str, IO]) -> PersistenceDiagram:
         try:
             dim = int(fields[0])
             birth = float(fields[1])
-            death = math.inf if fields[2].strip() == "inf" else float(fields[2])
+            death = float(fields[2])
         except ValueError:
             raise RipsphError(f"line {lineno}: unparseable pair") from None
         try:

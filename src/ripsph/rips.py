@@ -4,7 +4,9 @@ Scale values use the edge-length (diameter) convention: a simplex enters
 at the largest pairwise distance among its vertices. Callers working in
 the radius convention double their threshold before calling in.
 
-Two paths share one input check:
+Two paths share one input check and one clique enumeration, the
+level-wise expansion of `_Graph` (Zomorodian, "Fast construction of the
+Vietoris-Rips complex", 2010):
 
 - `build_rips` lists every simplex as a `Filtration` entry, the general
   path that `persistence_diagram` reduces and that tests use as referee;
@@ -67,31 +69,26 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     """Clique (flag) filtration: every subset whose pairwise distances are
     all <= threshold enters at its largest pairwise distance.
 
-    Cliques are enumerated by incremental expansion over vertex-id-ordered
-    neighbor lists, so each clique is produced exactly once. Only the upper
-    triangle of m is read.
+    Cliques grow level by level on the engine's neighbourhood graph: each
+    one is produced once, from its face without its largest vertex, by
+    adding a vertex above that face's last. Only the upper triangle of m
+    is read into the result; all of m is checked.
     """
     m = _checked(m, params.max_dimension)
-    n = m.shape[0]
-    eps = params.threshold
-    max_size = params.max_dimension + 2
-    neighbors = [(np.flatnonzero(m[i, i + 1:] <= eps) + i + 1).tolist()
-                 for i in range(n)]
-    entries: list[tuple[Simplex, float]] = [
-        (Simplex._canonical((i,)), 0.0) for i in range(n)]
-
-    def expand(clique: tuple[int, ...], cands: list[int], diam: float) -> None:
-        for idx, j in enumerate(cands):
-            d = max(diam, max(float(m[v, j]) for v in clique))
-            grown = clique + (j,)
-            entries.append((Simplex._canonical(grown), d))
-            if len(grown) < max_size:
-                tail = [u for u in cands[idx + 1:] if m[j, u] <= eps]
-                expand(grown, tail, d)
-
-    if max_size >= 2:
-        for i in range(n):
-            expand((i,), neighbors[i], 0.0)
+    g = _Graph(m, params.threshold)
+    entries = [(Simplex._canonical((i,)), 0.0) for i in range(m.shape[0])]
+    s, diam = g.edges()
+    # every scale is an edge length: share one float per length, not per entry
+    lengths = np.unique(diam)
+    scales = lengths.tolist()
+    for k in range(1, params.max_dimension + 2):
+        if k > 1:
+            s, diam = g.expand(s, diam)
+        for a in range(0, len(s), g.step):
+            at = np.searchsorted(lengths, diam[a:a + g.step]).tolist()
+            entries += zip(map(Simplex._canonical, s[a:a + g.step].tolist()),
+                           map(scales.__getitem__, at))
+    del s, diam
     return Filtration(entries)
 
 

@@ -95,6 +95,31 @@ class TestBuildRips:
             expected = brute_force_rips(m, threshold, max_dim + 2)
             got = sorted((s.vertices, scale) for s, scale in f)
             assert got == sorted(expected)
+        # tied grids, a duplicated point, thresholds around the enclosing
+        # radius and dimensions up to 3, since build_rips and
+        # rips_persistence share one clique enumeration
+        for seed in range(24):
+            pts = seeded_cloud(seed, 4 + seed % 5, grid=seed % 2 == 1)
+            if seed % 3 == 0:
+                pts = np.vstack((pts, pts[-1:]))
+            m = pairwise_distances(pts)
+            max_dim = min(seed % 4, len(m) - 2)
+            radius = enclosing_radius(m)
+            for threshold in (0.5 * radius, radius, 1.5 * radius):
+                f = build_rips(m, RipsParams(max_dim, threshold))
+                expected = brute_force_rips(m, threshold, max_dim + 2)
+                got = sorted((s.vertices, scale) for s, scale in f)
+                assert got == sorted(expected), (seed, threshold)
+
+    def test_reads_only_upper_triangle(self):
+        for seed in range(12):
+            m = pairwise_distances(seeded_cloud(seed, 8, grid=seed % 2 == 1))
+            junk = np.array(m)
+            lower = np.tril_indices(len(m), -1)
+            junk[lower] = np.random.default_rng(seed).uniform(
+                0.0, 2.0 * m.max(), len(lower[0]))
+            params = RipsParams(2, enclosing_radius(m))
+            assert build_rips(junk, params).entries == build_rips(m, params).entries
 
     def test_filtration_is_monotone(self):
         rng = np.random.default_rng(17)
