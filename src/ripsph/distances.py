@@ -5,14 +5,20 @@ its orthogonal diagonal projection at cost (death - birth) / 2. Essential
 (infinite-death) points must match each other; mismatched counts make the
 distance infinite.
 
-Bottleneck bisects over the realised costs. A radius c is feasible iff
-some perfect matching uses only edges of cost <= c, that is iff the
-cheapest assignment on the 0/1 matrix `cost > c` costs 0; scipy's
-`linear_sum_assignment` decides that exactly, so the answer is one of the
-realised costs. (scipy's Hopcroft-Karp, `maximum_bipartite_matching`, was
-up to 250 times slower on an infeasible radius near the answer for
-800-point diagrams.) Wasserstein solves the assignment problem on the cost
-matrix itself.
+Bottleneck bisects over the realised costs: the L-infinity distances
+between points of the two diagrams, their half-persistences and 0. At a
+radius c a point is far when its diagonal cost exceeds c; every other
+point may go to the diagonal. So c is feasible iff some matching of
+point pairs within c covers every far point of both diagrams, and by the
+Mendelsohn-Dulmage theorem such a matching exists iff each side's far
+points can be covered on their own. Each step therefore runs two
+one-sided assignments (far points of one side against all points of the
+other) with scipy's `linear_sum_assignment` on a 0/1 matrix, never one
+over the (n+m) x (m+n) diagonal-augmented graph, and the answer is one of
+the realised costs. (scipy's Hopcroft-Karp, `maximum_bipartite_matching`,
+was up to 250 times slower on an infeasible radius near the answer for
+800-point diagrams.) Wasserstein solves the assignment problem on the
+augmented cost matrix itself.
 """
 from __future__ import annotations
 
@@ -32,25 +38,47 @@ def _split(d: PersistenceDiagram, dim: int) -> tuple[np.ndarray, list[float]]:
     return finite, essential
 
 
+def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """n x m L-infinity distances between the points of a and of b."""
+    return np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
+                      np.abs(a[:, None, 1] - b[None, :, 1]))
+
+
+def _half(p: np.ndarray) -> np.ndarray:
+    """Diagonal cost of each point: half its persistence."""
+    return (p[:, 1] - p[:, 0]) / 2.0
+
+
 def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Square (n+m) x (m+n) matrix: rows = a-points then m diagonal slots,
     columns = b-points then n diagonal slots; diagonal-diagonal costs 0."""
     n, m = len(a), len(b)
     cost = np.zeros((n + m, m + n), dtype=np.float64)
-    cost[:n, :m] = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
-                              np.abs(a[:, None, 1] - b[None, :, 1]))
-    cost[:n, m:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
-    cost[n:, :m] = (b[:, 1] - b[:, 0]) / 2.0
+    cost[:n, :m] = _linf(a, b)
+    cost[:n, m:] = _half(a)[:, None]
+    cost[n:, :m] = _half(b)
     return cost
+
+
+def _covers(ok: np.ndarray) -> bool:
+    """Whether some matching within the 0/1 matrix ok covers every row
+    (trivially so when there are none)."""
+    if ok.shape[0] > ok.shape[1]:
+        return False
+    rows, cols = linear_sum_assignment(~ok)
+    return bool(ok[rows, cols].all())
 
 
 def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram,
                         dim: int) -> float:
     """Exact bottleneck distance for one homology dimension.
 
-    Binary search over the realized cost values only, each step checked by
-    a perfect-matching feasibility test, so no floating thresholds enter
-    the answer.
+    Binary search over the realised cost values only. Radius c is feasible
+    iff the far points of a (half-persistence above c) can all be matched
+    to points of b within L-infinity distance c, and the far points of b
+    to points of a; by Mendelsohn-Dulmage these two one-sided matchings
+    combine into one perfect matching of the diagonal-augmented diagrams
+    within c. No floating thresholds enter the answer.
     """
     fa, ea = _split(a, dim)
     fb, eb = _split(b, dim)
@@ -59,17 +87,17 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram,
     essential_cost = max((abs(x - y) for x, y in zip(ea, eb)), default=0.0)
     if fa.size + fb.size == 0:
         return essential_cost
-    cost = _cost_matrix(fa, fb)
-    candidates = np.unique(cost)
+    linf, ha, hb = _linf(fa, fb), _half(fa), _half(fb)
+    candidates = np.unique(np.concatenate([linf.ravel(), ha, hb, [0.0]]))
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        over = cost > candidates[mid]
-        rows, cols = linear_sum_assignment(over)
-        if over[rows, cols].any():
-            lo = mid + 1
-        else:
+        c = candidates[mid]
+        close = linf <= c
+        if _covers(close[ha > c]) and _covers(close[:, hb > c].T):
             hi = mid
+        else:
+            lo = mid + 1
     return max(essential_cost, float(candidates[lo]))
 
 

@@ -18,6 +18,7 @@ from typing import IO, Union
 from .core import Filtration, PersistenceDiagram, PersistencePair
 from .errors import RipsphError
 from .homology import _boundary_columns, _reduce
+from .ingestion import _as_text
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,7 @@ def write_diagram_csv(d: PersistenceDiagram) -> str:
 
 
 def read_diagram_csv(source: Union[str, IO]) -> PersistenceDiagram:
-    text = source if isinstance(source, str) else source.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _as_text(source).splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "dim,birth,death":
         raise RipsphError("diagram CSV must start with header 'dim,birth,death'")
     pairs = []

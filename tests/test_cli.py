@@ -161,6 +161,24 @@ class TestDistance:
         assert main(["distance", str(a), str(b), "--dim", "0"]) == 0
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        text = "dim,birth,death\n1,0.0,1.0\n1,0.25,2.0\n"
+        plain = tmp_path / "plain.csv"
+        excel = tmp_path / "excel.csv"
+        other = tmp_path / "other.csv"
+        plain.write_text(text)
+        excel.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        other.write_text("dim,birth,death\n1,0.0,1.5\n")
+        for kind in ("bottleneck", "wasserstein"):
+            assert main(["distance", str(plain), str(other), "--kind", kind,
+                         "--dim", "1"]) == 0
+            expected = capsys.readouterr().out
+            assert main(["distance", str(excel), str(other), "--kind", kind,
+                         "--dim", "1"]) == 0
+            assert capsys.readouterr().out == expected
+        assert main(["distance", str(excel), str(plain), "--dim", "1"]) == 0
+        assert float(capsys.readouterr().out) == 0.0
+
     def test_malformed_csv_exits_2(self, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("nope\n")

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from oracles import exhaustive_bottleneck, exhaustive_wasserstein
 from ripsph.core import PersistenceDiagram, PersistencePair
-from ripsph.distances import bottleneck_distance, wasserstein_distance
+from ripsph.distances import (_cost_matrix, bottleneck_distance,
+                               wasserstein_distance)
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import persistence_diagram
 from ripsph.rips import RipsParams, build_rips
@@ -85,27 +87,146 @@ class TestWasserstein:
         assert math.isinf(wasserstein_distance(a, b, 1))
 
 
+def assert_matches_oracle(a, b, dim=1):
+    fa = [(p.birth, p.death) for p in a.in_dimension(dim) if not p.is_essential]
+    fb = [(p.birth, p.death) for p in b.in_dimension(dim) if not p.is_essential]
+    ea = [p.birth for p in a.in_dimension(dim) if p.is_essential]
+    eb = [p.birth for p in b.in_dimension(dim) if p.is_essential]
+    expected_b = exhaustive_bottleneck(fa, fb, ea, eb)
+    expected_w = exhaustive_wasserstein(fa, fb, ea, eb)
+    got_b = bottleneck_distance(a, b, dim)
+    got_w = wasserstein_distance(a, b, dim)
+    if math.isinf(expected_b):
+        assert math.isinf(got_b) and math.isinf(got_w)
+    else:
+        assert got_b == expected_b  # candidate-set search is exact
+        assert got_w == pytest.approx(expected_w, abs=1e-9)
+
+
+def integer_diagram(rng, max_points=5, span=4):
+    points = []
+    for _ in range(rng.randint(0, max_points)):
+        b = rng.randint(0, span)
+        points.append((float(b), float(b + rng.randint(0, span))))
+    return diagram(points)
+
+
 class TestOracleEquivalence:
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(61)
         for _ in range(100):
-            a = random_diagram(rng)
-            b = random_diagram(rng)
-            fa = [(p.birth, p.death) for p in a.in_dimension(1)
-                  if not p.is_essential]
-            fb = [(p.birth, p.death) for p in b.in_dimension(1)
-                  if not p.is_essential]
-            ea = [p.birth for p in a.in_dimension(1) if p.is_essential]
-            eb = [p.birth for p in b.in_dimension(1) if p.is_essential]
-            expected_b = exhaustive_bottleneck(fa, fb, ea, eb)
-            expected_w = exhaustive_wasserstein(fa, fb, ea, eb)
-            got_b = bottleneck_distance(a, b, 1)
-            got_w = wasserstein_distance(a, b, 1)
-            if math.isinf(expected_b):
-                assert math.isinf(got_b) and math.isinf(got_w)
-            else:
-                assert got_b == expected_b  # candidate-set search is exact
-                assert got_w == pytest.approx(expected_w, abs=1e-9)
+            assert_matches_oracle(random_diagram(rng), random_diagram(rng))
+
+    def test_integer_costs_tie_the_diagonal(self):
+        """Half-persistences and L-infinity distances share values, so a
+        point's diagonal cost is often exactly the radius being tested."""
+        rng = random.Random(73)
+        for _ in range(150):
+            assert_matches_oracle(integer_diagram(rng), integer_diagram(rng))
+        # far means strictly beyond the radius: (0, 2) may take the
+        # diagonal at radius 1, while (5, 9) at distance 7 cannot be used
+        assert bottleneck_distance(diagram([(0.0, 2.0)]),
+                                   diagram([(5.0, 9.0)]), 1) == 2.0
+
+    def test_duplicated_points(self):
+        rng = random.Random(79)
+        for _ in range(60):
+            base = integer_diagram(rng, max_points=3)
+            points = [(p.birth, p.death) for p in base.pairs]
+            a = diagram(points + points[:rng.randint(0, len(points))])
+            b = integer_diagram(rng, max_points=4)
+            assert_matches_oracle(a, b)
+        assert_matches_oracle(diagram([(0.0, 4.0)] * 3),
+                              diagram([(1.0, 4.0)] * 2 + [(0.0, 3.0)]))
+
+    def test_zero_persistence_points(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            a = random_diagram(rng, max_points=3, allow_essential=False)
+            b = random_diagram(rng, max_points=3, allow_essential=False)
+            flat = [(x, x) for x in (rng.uniform(0, 2), 1.0, 1.0)]
+            assert_matches_oracle(
+                diagram([(p.birth, p.death) for p in a.pairs] + flat[:2]),
+                diagram([(p.birth, p.death) for p in b.pairs] + flat[1:]))
+        assert bottleneck_distance(diagram([(1.0, 1.0)] * 3), diagram([]), 1) == 0.0
+
+    def test_one_side_empty(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            a = random_diagram(rng, max_points=6)
+            empty = diagram([], essentials=[p.birth for p in a.pairs
+                                            if p.is_essential])
+            assert_matches_oracle(a, empty)
+            assert_matches_oracle(empty, a)
+
+    def test_far_points_outnumber_other_side(self):
+        """Four long-lived points against one or two: at every radius below
+        their half-persistences (at least 1.5) all four are far, more rows
+        than the other side has columns."""
+        rng = random.Random(97)
+        for _ in range(40):
+            long_lived = [(b, b + rng.uniform(3, 5))
+                          for b in (rng.uniform(0, 1) for _ in range(4))]
+            few = [(b, b + rng.uniform(3, 5))
+                   for b in (rng.uniform(0, 1) for _ in range(rng.randint(1, 2)))]
+            assert_matches_oracle(diagram(long_lived), diagram(few))
+            assert_matches_oracle(diagram(few), diagram(long_lived))
+
+
+def augmented_bottleneck(fa: np.ndarray, fb: np.ndarray) -> float:
+    """The bisection over the full (n+m) x (m+n) diagonal-augmented cost
+    matrix: radius c is feasible iff the assignment on `cost > c` costs 0."""
+    cost = _cost_matrix(fa, fb)
+    candidates = np.unique(cost)
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        over = cost > candidates[mid]
+        rows, cols = linear_sum_assignment(over)
+        if over[rows, cols].any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return float(candidates[lo])
+
+
+def jittered_pair(rng, n, integer=False):
+    """Diagram a of n points and b, a jittered copy of a with a tenth of its
+    points replaced by short-lived ones, so the optimal matching mixes
+    point-to-point and point-to-diagonal moves. Integer pairs tie many
+    costs."""
+    if integer:
+        birth = rng.integers(0, 12, n).astype(np.float64)
+        death = birth + rng.integers(0, 8, n)
+        b_birth = birth + rng.integers(-1, 2, n)
+        b_death = np.maximum(death + rng.integers(-1, 2, n), b_birth)
+    else:
+        birth = rng.uniform(0.0, 1.0, n)
+        death = birth + rng.uniform(0.05, 0.6, n)
+        b_birth = birth + rng.normal(0.0, 0.02, n)
+        b_death = np.maximum(death + rng.normal(0.0, 0.02, n), b_birth)
+    swap = rng.choice(n, size=n // 10, replace=False)
+    b_birth[swap] = birth[rng.permutation(swap)]
+    b_death[swap] = b_birth[swap] + (rng.integers(0, 2, swap.size) if integer
+                                     else rng.uniform(0.0, 0.1, swap.size))
+    return np.column_stack([birth, death]), np.column_stack([b_birth, b_death])
+
+
+class TestAugmentedDifferential:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_augmented_bisection(self, seed):
+        rng = np.random.default_rng([seed, 10])
+        fa, fb = jittered_pair(rng, int(rng.integers(50, 301)))
+        a, b = diagram(fa.tolist()), diagram(fb.tolist())
+        assert bottleneck_distance(a, b, 1) == augmented_bottleneck(fa, fb)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_augmented_bisection_on_integer_ties(self, seed):
+        rng = np.random.default_rng([seed, 11])
+        fa, fb = jittered_pair(rng, int(rng.integers(50, 301)), integer=True)
+        a, b = diagram(fa.tolist()), diagram(fb.tolist())
+        assert bottleneck_distance(a, b, 1) == augmented_bottleneck(fa, fb)
+        assert bottleneck_distance(b, a, 1) == augmented_bottleneck(fb, fa)
 
 
 class TestMetricAxioms:

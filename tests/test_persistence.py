@@ -215,6 +215,12 @@ class TestDiagramCsv:
         with pytest.raises(RipsphError):
             read_diagram_csv("dim,birth,death\n0,zero,1")
 
+    @pytest.mark.parametrize("bom", ["\ufeff", b"\xef\xbb\xbf"])
+    def test_byte_order_mark_ignored(self, bom):
+        text = "dim,birth,death\n1,0.0,1.0\n0,0.5,inf\n"
+        source = bom + (text.encode() if isinstance(bom, bytes) else text)
+        assert read_diagram_csv(source) == read_diagram_csv(text)
+
 
 def full_rips(pts, max_dim=2):
     m = pairwise_distances(pts)
