@@ -92,6 +92,26 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     return Filtration(entries)
 
 
+def _clique_counts(m: np.ndarray, top: int, threshold: float) -> list[int]:
+    """Simplices per dimension 0..top of build_rips(m, RipsParams(top - 1,
+    threshold)), with no Simplex made. The top level is counted pass by
+    pass, not stored, so memory peaks at the level below."""
+    m = _checked(m, top - 1)
+    g = _Graph(m, threshold)
+    s, diam = g.edges()
+    counts = [m.shape[0], len(s)]
+    for _ in range(2, top):
+        s, diam = g.expand(s, diam)
+        counts.append(len(s))
+    if top > 1:  # the rows expand would keep, counted and dropped
+        counts.append(0)
+        for a in range(0, len(s), g.step):
+            part = s[a:a + g.step]
+            l, d = g.cofaces(part, diam[a:a + g.step])
+            counts[-1] += int(np.count_nonzero((l > part[:, -1:]) & (d < np.inf)))
+    return counts
+
+
 def complex_at_scale(f: Filtration, s: float) -> SimplicialComplex:
     """The complex formed by all filtration entries with scale <= s."""
     return SimplicialComplex(simplex for simplex, scale in f if scale <= s)

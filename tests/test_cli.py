@@ -232,6 +232,42 @@ class TestPdbExtract:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("k, expected", [
+        ("0", "points: 9  dimension: 2\n"
+              "metric violations: 0\n"
+              "filtration entries: 23\n"
+              "complex violations: 0\n"
+              "beta_0\n"
+              "     1\n"),
+        ("2", "points: 9  dimension: 2\n"
+              "metric violations: 0\n"
+              "filtration entries: 27\n"
+              "complex violations: 0\n"
+              "beta_0  beta_1  beta_2\n"
+              "     1       2       0\n"),
+    ])
+    def test_golden_stdout(self, tmp_path, capsys, k, expected):
+        # a ring of 8 grid points around an off-centre point: two holes at 1.3
+        path = tmp_path / "ring.csv"
+        path.write_text("0,0\n1,0\n2,0\n2,1\n2,2\n1,2\n0,2\n0,1\n1,1.25\n")
+        assert main(["validate", str(path), "--threshold", "1.3",
+                     "--max-dimension", k]) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        m = pairwise_distances(np.loadtxt(path, delimiter=",", ndmin=2))
+        entries = len(build_rips(m, RipsParams(int(k), 1.3)))
+        assert f"filtration entries: {entries}\n" in out
+
+    @pytest.mark.parametrize("argv", [["validate", "{path}", "--threshold", "1"],
+                                      ["run", "{path}"]])
+    def test_overflowing_distances_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "huge.csv"
+        path.write_text("0,0\n1e200,0\n1,1\n2,0\n")  # (1e200)**2 is inf
+        assert main([a.format(path=path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_clean_cloud(self, tmp_path, capsys):
         path, _ = circle_csv(tmp_path)
         assert main(["validate", str(path), "--threshold", "2.0",

@@ -12,8 +12,8 @@ from ripsph.core import PersistenceDiagram, PersistencePair, validate_complex
 from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import persistence_diagram
-from ripsph.rips import (RipsParams, build_rips, complex_at_scale,
-                         enclosing_radius, rips_persistence)
+from ripsph.rips import (RipsParams, _clique_counts, build_rips,
+                         complex_at_scale, enclosing_radius, rips_persistence)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -175,6 +175,41 @@ class TestComplexAtScale:
             for simplex in c.simplices:
                 for u, v in itertools.combinations(simplex.vertices, 2):
                     assert (u, v) in present
+
+
+class TestCliqueCounts:
+    """_clique_counts against the listed filtration it stands in for in
+    ripsph validate, and the closure that lets validate print 0."""
+
+    @staticmethod
+    def cloud(kind):
+        if kind == "duplicates":
+            pts = seeded_cloud(43, 6)
+            return np.concatenate([pts, pts[:3]])
+        return seeded_cloud(43, 9, grid=kind == "grid")
+
+    @pytest.mark.parametrize("kind", ["uniform", "grid", "duplicates"])
+    @pytest.mark.parametrize("where", ["zero", "below", "at", "above", "inf"])
+    def test_counts_match_listed_filtration(self, kind, where):
+        m = pairwise_distances(self.cloud(kind))
+        r = enclosing_radius(m)
+        t = {"zero": 0.0, "below": float(np.nextafter(r, 0.0)), "at": r,
+             "above": 1.5 * r, "inf": math.inf}[where]
+        for k in range(3):
+            f = build_rips(m, RipsParams(k, t))
+            c = complex_at_scale(f, t)
+            counts = c.counts() + [0] * (k + 2 - len(c.counts()))
+            assert _clique_counts(m, k + 1, t) == counts
+            assert sum(counts) == len(f)
+            assert validate_complex(c) == []
+
+    def test_checks_its_input_first(self):
+        with pytest.raises(DimensionTooLarge):
+            _clique_counts(unit_square_matrix(), 4, 2.0)
+        m = unit_square_matrix().copy()
+        m[0, 1] = m[1, 0] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            _clique_counts(m, 1, 2.0)
 
 
 def reference_diagram(m, max_dim, threshold):
