@@ -3,22 +3,24 @@
 Ground metric is L-infinity on the (birth, death) plane; a point may match
 its orthogonal diagonal projection at cost (death - birth) / 2. Essential
 (infinite-death) points must match each other; mismatched counts make the
-distance infinite.
+distance infinite. Both distances work on the n x m L-infinity block
+between the finite points of the two diagrams and on each point's diagonal
+cost ha or hb, never on the (n+m) x (m+n) diagonal-augmented matrix
+(Kerber, Morozov and Nigmetov, "Geometry helps to compare persistence
+diagrams", JEA 2017).
 
-Bottleneck bisects over the realised costs: the L-infinity distances
-between points of the two diagrams, their half-persistences and 0. At a
-radius c a point is far when its diagonal cost exceeds c; every other
-point may go to the diagonal. So c is feasible iff some matching of
-point pairs within c covers every far point of both diagrams, and by the
-Mendelsohn-Dulmage theorem such a matching exists iff each side's far
-points can be covered on their own. Each step therefore runs two
-one-sided assignments (far points of one side against all points of the
-other) with scipy's `linear_sum_assignment` on a 0/1 matrix, never one
-over the (n+m) x (m+n) diagonal-augmented graph, and the answer is one of
-the realised costs. (scipy's Hopcroft-Karp, `maximum_bipartite_matching`,
-was up to 250 times slower on an infeasible radius near the answer for
-800-point diagrams.) Wasserstein solves the assignment problem on the
-augmented cost matrix itself.
+Bottleneck bisects over the realised costs. At a radius c a point is far
+when its diagonal cost exceeds c, and c is feasible iff some matching of
+point pairs within c covers every far point of both diagrams; by
+Mendelsohn-Dulmage, iff each side's far points can be covered on their
+own: two one-sided `linear_sum_assignment` calls on 0/1 matrices. (scipy's
+Hopcroft-Karp was up to 250 times slower near the answer for 800-point
+diagrams.)
+
+Wasserstein starts from every point on the diagonal; matching point i of a
+with point j of b changes that total by linf[i, j] - ha[i] - hb[j]. One
+assignment over these savings, clipped at 0, is optimal: a pair that saves
+nothing costs as much as its two diagonal moves.
 """
 from __future__ import annotations
 
@@ -38,26 +40,19 @@ def _split(d: PersistenceDiagram, dim: int) -> tuple[np.ndarray, list[float]]:
     return finite, essential
 
 
-def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """n x m L-infinity distances between the points of a and of b."""
-    return np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
-                      np.abs(a[:, None, 1] - b[None, :, 1]))
-
-
-def _half(p: np.ndarray) -> np.ndarray:
-    """Diagonal cost of each point: half its persistence."""
-    return (p[:, 1] - p[:, 0]) / 2.0
-
-
-def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Square (n+m) x (m+n) matrix: rows = a-points then m diagonal slots,
-    columns = b-points then n diagonal slots; diagonal-diagonal costs 0."""
-    n, m = len(a), len(b)
-    cost = np.zeros((n + m, m + n), dtype=np.float64)
-    cost[:n, :m] = _linf(a, b)
-    cost[:n, m:] = _half(a)[:, None]
-    cost[n:, :m] = _half(b)
-    return cost
+def _blocks(a: PersistenceDiagram, b: PersistenceDiagram, dim: int
+            ) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray] | None:
+    """The gaps between matched essential births (None when the essential
+    counts differ), the n x m L-infinity block between the finite points
+    of a and of b, and the diagonal cost (half persistence) of each."""
+    fa, ea = _split(a, dim)
+    fb, eb = _split(b, dim)
+    if len(ea) != len(eb):
+        return None
+    linf = np.maximum(np.abs(fa[:, None, 0] - fb[None, :, 0]),
+                      np.abs(fa[:, None, 1] - fb[None, :, 1]))
+    gaps = [abs(x - y) for x, y in zip(ea, eb)]
+    return gaps, linf, (fa[:, 1] - fa[:, 0]) / 2.0, (fb[:, 1] - fb[:, 0]) / 2.0
 
 
 def _covers(ok: np.ndarray) -> bool:
@@ -76,18 +71,12 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram,
     Binary search over the realised cost values only. Radius c is feasible
     iff the far points of a (half-persistence above c) can all be matched
     to points of b within L-infinity distance c, and the far points of b
-    to points of a; by Mendelsohn-Dulmage these two one-sided matchings
-    combine into one perfect matching of the diagonal-augmented diagrams
-    within c. No floating thresholds enter the answer.
+    to points of a. No floating thresholds enter the answer.
     """
-    fa, ea = _split(a, dim)
-    fb, eb = _split(b, dim)
-    if len(ea) != len(eb):
+    blocks = _blocks(a, b, dim)
+    if blocks is None:
         return math.inf
-    essential_cost = max((abs(x - y) for x, y in zip(ea, eb)), default=0.0)
-    if fa.size + fb.size == 0:
-        return essential_cost
-    linf, ha, hb = _linf(fa, fb), _half(fa), _half(fb)
+    gaps, linf, ha, hb = blocks
     candidates = np.unique(np.concatenate([linf.ravel(), ha, hb, [0.0]]))
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
@@ -98,21 +87,22 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram,
             hi = mid
         else:
             lo = mid + 1
-    return max(essential_cost, float(candidates[lo]))
+    return max(gaps + [float(candidates[lo])])
 
 
 def wasserstein_distance(a: PersistenceDiagram, b: PersistenceDiagram,
                          dim: int) -> float:
-    """1-Wasserstein distance: minimum total L-infinity cost over perfect
-    matchings with diagonal augmentation, via exact assignment."""
-    fa, ea = _split(a, dim)
-    fb, eb = _split(b, dim)
-    if len(ea) != len(eb):
+    """1-Wasserstein distance: minimum total L-infinity cost over matchings
+    in which unmatched points go to the diagonal, via exact assignment."""
+    blocks = _blocks(a, b, dim)
+    if blocks is None:
         return math.inf
-    essential_costs = [abs(x - y) for x, y in zip(ea, eb)]
-    if fa.size + fb.size == 0:
-        return math.fsum(essential_costs)
-    cost = _cost_matrix(fa, fb)
-    rows, cols = linear_sum_assignment(cost)
-    # fsum: exactly rounded, so the total does not depend on argument order
-    return math.fsum(essential_costs + list(cost[rows, cols]))
+    gaps, linf, ha, hb = blocks
+    saving = np.minimum(linf - ha[:, None] - hb, 0.0)
+    rows, cols = linear_sum_assignment(saving)
+    kept = saving[rows, cols] < 0.0
+    rows, cols = rows[kept], cols[kept]
+    # the realised costs, not the diagonal total plus the savings, which
+    # cancels; fsum is exactly rounded, so their order does not matter
+    return math.fsum(gaps + linf[rows, cols].tolist()
+                     + np.delete(ha, rows).tolist() + np.delete(hb, cols).tolist())

@@ -16,7 +16,8 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Dense n x n Euclidean distance matrix, exactly symmetric.
 
     Each unordered pair is computed once and mirrored, so symmetry holds
-    bitwise, not just within floating tolerance.
+    bitwise, not just within floating tolerance. Raises ValueError if a
+    distance is not finite, as when large coordinates overflow.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -28,6 +29,11 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
         row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         out[i, i + 1:] = row
         out[i + 1:, i] = row
+    # max is NaN if any entry is; finite points reach inf only by overflow
+    if not out.max() < np.inf:
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise ValueError(f"distance ({i},{j}) is {float(out[i, j])!r}; "
+                         "distances must be finite")
     out.setflags(write=False)
     return out
 

@@ -9,8 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from oracles import exhaustive_bottleneck, exhaustive_wasserstein
 from ripsph.core import PersistenceDiagram, PersistencePair
-from ripsph.distances import (_cost_matrix, bottleneck_distance,
-                               wasserstein_distance)
+from ripsph.distances import bottleneck_distance, wasserstein_distance
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import persistence_diagram
 from ripsph.rips import RipsParams, build_rips
@@ -51,15 +50,19 @@ class TestBottleneck:
         b = diagram([])
         assert math.isinf(bottleneck_distance(a, b, 1))
 
-    def test_essential_births_compared(self):
+    @pytest.mark.parametrize("dist", [bottleneck_distance, wasserstein_distance],
+                             ids=["bottleneck", "wasserstein"])
+    def test_essential_births_compared(self, dist):
         a = diagram([], essentials=[0.0])
         b = diagram([], essentials=[0.75])
-        assert bottleneck_distance(a, b, 1) == 0.75
+        assert dist(a, b, 1) == 0.75
 
-    def test_other_dimension_ignored(self):
+    @pytest.mark.parametrize("dist", [bottleneck_distance, wasserstein_distance],
+                             ids=["bottleneck", "wasserstein"])
+    def test_other_dimension_ignored(self, dist):
         a = diagram([(0.0, 4.0)], dim=0)
         b = diagram([], dim=0)
-        assert bottleneck_distance(a, b, 1) == 0.0
+        assert dist(a, b, 1) == 0.0
 
     def test_thousand_points_exact(self):
         # every point moves its death by 0.25, far below any diagonal cost
@@ -85,6 +88,12 @@ class TestWasserstein:
         a = diagram([], essentials=[0.0, 1.0])
         b = diagram([], essentials=[0.0])
         assert math.isinf(wasserstein_distance(a, b, 1))
+
+    def test_thousand_points_exact(self):
+        # every point moves its death by 0.25, far below any diagonal cost
+        a = diagram([(10.0 * i, 10.0 * i + 5) for i in range(1000)])
+        b = diagram([(10.0 * i, 10.0 * i + 5 + 0.25) for i in range(1000)])
+        assert wasserstein_distance(a, b, 1) == 250.0
 
 
 def assert_matches_oracle(a, b, dim=1):
@@ -173,10 +182,22 @@ class TestOracleEquivalence:
             assert_matches_oracle(diagram(few), diagram(long_lived))
 
 
+def augmented_cost(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Square (n+m) x (m+n) diagonal-augmented cost matrix: rows are the
+    points of a then m diagonal slots, columns the points of b then n
+    diagonal slots; a diagonal slot meets a diagonal slot at cost 0."""
+    n, m = len(fa), len(fb)
+    cost = np.zeros((n + m, m + n), dtype=np.float64)
+    cost[:n, :m] = np.abs(fa[:, None, :] - fb[None, :, :]).max(axis=2)
+    cost[:n, m:] = ((fa[:, 1] - fa[:, 0]) / 2.0)[:, None]
+    cost[n:, :m] = (fb[:, 1] - fb[:, 0]) / 2.0
+    return cost
+
+
 def augmented_bottleneck(fa: np.ndarray, fb: np.ndarray) -> float:
-    """The bisection over the full (n+m) x (m+n) diagonal-augmented cost
-    matrix: radius c is feasible iff the assignment on `cost > c` costs 0."""
-    cost = _cost_matrix(fa, fb)
+    """The bisection over the full diagonal-augmented cost matrix: radius c
+    is feasible iff the assignment on `cost > c` costs 0."""
+    cost = augmented_cost(fa, fb)
     candidates = np.unique(cost)
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
@@ -188,6 +209,13 @@ def augmented_bottleneck(fa: np.ndarray, fb: np.ndarray) -> float:
         else:
             hi = mid
     return float(candidates[lo])
+
+
+def augmented_wasserstein(fa: np.ndarray, fb: np.ndarray) -> float:
+    """One assignment over the full diagonal-augmented cost matrix."""
+    cost = augmented_cost(fa, fb)
+    rows, cols = linear_sum_assignment(cost)
+    return math.fsum(cost[rows, cols])
 
 
 def jittered_pair(rng, n, integer=False):
@@ -219,6 +247,8 @@ class TestAugmentedDifferential:
         fa, fb = jittered_pair(rng, int(rng.integers(50, 301)))
         a, b = diagram(fa.tolist()), diagram(fb.tolist())
         assert bottleneck_distance(a, b, 1) == augmented_bottleneck(fa, fb)
+        assert wasserstein_distance(a, b, 1) == pytest.approx(
+            augmented_wasserstein(fa, fb), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_augmented_bisection_on_integer_ties(self, seed):
@@ -227,6 +257,8 @@ class TestAugmentedDifferential:
         a, b = diagram(fa.tolist()), diagram(fb.tolist())
         assert bottleneck_distance(a, b, 1) == augmented_bottleneck(fa, fb)
         assert bottleneck_distance(b, a, 1) == augmented_bottleneck(fb, fa)
+        assert wasserstein_distance(a, b, 1) == pytest.approx(
+            augmented_wasserstein(fa, fb), abs=1e-9)
 
 
 class TestMetricAxioms:

@@ -26,6 +26,11 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
 
+    def test_overflow_rejected(self):
+        # finite coordinates whose squared difference overflows to inf
+        with pytest.raises(ValueError, match=r"distance \(0,1\) is inf"):
+            pairwise_distances(np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]]))
+
 
 class TestValidateMetric:
     def test_euclidean_matrix_passes(self):
