@@ -49,19 +49,13 @@ def parse_pdb(source: Union[str, bytes, IO], chain: Optional[str] = None) -> np.
     """
     text = _as_text(source)
     points: list[list[float]] = []
-    in_first_model = True
-    saw_model = False
+    models = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         record = line[_RECORD].strip()
-        if record == "MODEL":
-            if saw_model:
-                in_first_model = False
-            saw_model = True
-            continue
-        if record == "ENDMDL":
-            in_first_model = False
-            continue
-        if not in_first_model or record != "ATOM":
+        models += record == "MODEL"
+        if record == "ENDMDL" or models > 1:
+            break
+        if record != "ATOM":
             continue
         if len(line) < 54:
             raise MalformedRecord(lineno, "ATOM record shorter than 54 columns")
@@ -89,7 +83,6 @@ def load_csv(source: Union[str, bytes, IO]) -> np.ndarray:
     width: Optional[int] = None
     first = True
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\r")
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]

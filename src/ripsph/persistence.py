@@ -117,11 +117,12 @@ def write_diagram_csv(d: PersistenceDiagram) -> str:
 
 
 def read_diagram_csv(source: Union[str, IO]) -> PersistenceDiagram:
-    lines = [ln for ln in _as_text(source).splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "dim,birth,death":
+    lines = [(n, ln) for n, ln in enumerate(_as_text(source).splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1].strip() != "dim,birth,death":
         raise RipsphError("diagram CSV must start with header 'dim,birth,death'")
     pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 3:
             raise RipsphError(f"line {lineno}: expected 3 fields")

@@ -6,7 +6,9 @@ the radius convention double their threshold before calling in.
 
 Two paths share one input check and one clique enumeration, the
 level-wise expansion of `_Graph` (Zomorodian, "Fast construction of the
-Vietoris-Rips complex", 2010):
+Vietoris-Rips complex", 2010): every level, edges included, grows from
+the one below, starting at the vertex level, and every diameter is read
+in `_Graph.cofaces`:
 
 - `build_rips` lists every simplex as a `Filtration` entry, the general
   path that `persistence_diagram` reduces and that tests use as referee;
@@ -76,14 +78,14 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     """
     m = _checked(m, params.max_dimension)
     g = _Graph(m, params.threshold)
-    entries = [(Simplex._canonical((i,)), 0.0) for i in range(m.shape[0])]
-    s, diam = g.edges()
-    # every scale is an edge length: share one float per length, not per entry
-    lengths = np.unique(diam)
-    scales = lengths.tolist()
-    for k in range(1, params.max_dimension + 2):
-        if k > 1:
+    entries = []
+    s, diam = g.vertices
+    for k in range(params.max_dimension + 2):
+        if k:
             s, diam = g.expand(s, diam)
+        # share one float per distinct scale of the level, not per entry
+        lengths = np.unique(diam)
+        scales = lengths.tolist()
         for a in range(0, len(s), g.step):
             at = np.searchsorted(lengths, diam[a:a + g.step]).tolist()
             entries += zip(map(Simplex._canonical, s[a:a + g.step].tolist()),
@@ -94,21 +96,17 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
 
 def _clique_counts(m: np.ndarray, top: int, threshold: float) -> list[int]:
     """Simplices per dimension 0..top of build_rips(m, RipsParams(top - 1,
-    threshold)), with no Simplex made. The top level is counted pass by
-    pass, not stored, so memory peaks at the level below."""
+    threshold)), with no Simplex made. Levels 0..top-1 grow from the vertex
+    level and are counted as stored; the top level is counted pass by pass
+    and never stored, so memory peaks at the level below."""
     m = _checked(m, top - 1)
     g = _Graph(m, threshold)
-    s, diam = g.edges()
-    counts = [m.shape[0], len(s)]
-    for _ in range(2, top):
+    s, diam = g.vertices
+    counts = [len(s)]
+    for _ in range(1, top):
         s, diam = g.expand(s, diam)
         counts.append(len(s))
-    if top > 1:  # the rows expand would keep, counted and dropped
-        counts.append(0)
-        for a in range(0, len(s), g.step):
-            part = s[a:a + g.step]
-            l, d = g.cofaces(part, diam[a:a + g.step])
-            counts[-1] += int(np.count_nonzero((l > part[:, -1:]) & (d < np.inf)))
+    counts.append(sum(int(np.count_nonzero(grow)) for *_, grow in g.passes(s, diam)))
     return counts
 
 
@@ -129,7 +127,8 @@ def enclosing_radius(m: np.ndarray) -> float:
 
 class _Graph:
     """The neighbourhood graph of m at scale eps, as CSR lists: the
-    neighbours of vertex i are nbr[ptr[i]:ptr[i + 1]], ascending."""
+    neighbours of vertex i are nbr[ptr[i]:ptr[i + 1]], ascending. The
+    vertex level, one-vertex rows at diameter 0, starts every clique walk."""
 
     def __init__(self, m: np.ndarray, eps: float):
         n = m.shape[0]
@@ -144,13 +143,7 @@ class _Graph:
         self.m, self.eps = m, eps
         # simplices per numpy pass, so that no pass exceeds _CELLS cells
         self.step = max(1, _CELLS // max(1, int(np.diff(self.ptr).max())))
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edges within eps, sorted by (diameter, vertices)."""
-        i = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
-        up = self.nbr > i
-        s = np.column_stack((i[up], self.nbr[up]))
-        return _sorted(s, self.m[s[:, 0], s[:, 1]])
+        self.vertices = np.arange(n)[:, None], np.zeros(n)
 
     def cofaces(self, s: np.ndarray,
                 diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,15 +164,21 @@ class _Graph:
         d[~ok] = np.inf
         return l, d
 
-    def expand(self, s: np.ndarray,
-               diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The simplices one dimension up, each grown from its face without
-        its largest vertex, sorted by (diameter, vertices)."""
-        grown, diams = [np.empty((0, s.shape[1] + 1), np.intp)], [diam[:0]]
+    def passes(self, s: np.ndarray, diam: np.ndarray):
+        """Per pass over step rows part of s: part, its cofaces l and d, and
+        the mask of the cofaces grown from part as their face without their
+        largest vertex, so that each clique is made once."""
         for a in range(0, len(s), self.step):
             part = s[a:a + self.step]
             l, d = self.cofaces(part, diam[a:a + self.step])
-            r, c = np.nonzero((l > part[:, -1:]) & (d < np.inf))
+            yield part, l, d, (l > part[:, -1:]) & (d < np.inf)
+
+    def expand(self, s: np.ndarray,
+               diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The simplices one dimension up, sorted by (diameter, vertices)."""
+        grown, diams = [np.empty((0, s.shape[1] + 1), np.intp)], [diam[:0]]
+        for part, l, d, grow in self.passes(s, diam):
+            r, c = np.nonzero(grow)
             grown.append(np.column_stack((part[r], l[r, c])))
             diams.append(d[r, c])
         return _sorted(np.concatenate(grown), np.concatenate(diams))
@@ -249,25 +248,16 @@ def _cohomology(k: int, g: _Graph, s: np.ndarray, diam: np.ndarray,
     births = diam.tolist()
     for j, (top, death) in enumerate(zip(map(tuple, tops.tolist()),
                                          pivot_diam.tolist())):
-        if death == math.inf:  # no coface: an essential class
-            pairs.append((k, births[j], death))
-        elif top not in owner:
-            owner[top] = j
-            pairs.append((k, births[j], death))
-        else:
+        if death < math.inf and top in owner:
             col = g.coboundary(tuple(s[j].tolist()), births[j])
-            while col:
-                death, top = min(col)
-                i = owner.get(top)
-                if i is None:
-                    break
+            while col and (top := min(col)[1]) in owner:
+                i = owner[top]
                 col ^= reduced.get(i) or g.coboundary(tuple(s[i].tolist()), births[i])
-            if col:
-                owner[top] = j
-                reduced[j] = col
-                pairs.append((k, births[j], death))
-            else:
-                pairs.append((k, births[j], math.inf))
+            death, top = min(col, default=(math.inf, None))
+            reduced[j] = col
+        if death < math.inf:  # else an essential class
+            owner[top] = j
+        pairs.append((k, births[j], death))
     return set(owner)
 
 
@@ -284,7 +274,7 @@ def rips_persistence(m: np.ndarray, max_dim: int,
     m = _checked(m, max_dim)
     g = _Graph(m, min(params.threshold, enclosing_radius(m)))
     pairs: list[tuple[int, float, float]] = []
-    s, diam = g.edges()
+    s, diam = g.expand(*g.vertices)
     cleared = _h0(s, diam, m.shape[0], pairs)
     for k in range(1, max_dim + 1):
         if k > 1:

@@ -66,6 +66,24 @@ class TestParsePdb:
         ])
         assert parse_pdb(text).shape == (1, 3)
 
+    def test_endmdl_without_model_ends_the_first_model(self):
+        text = "\n".join([
+            atom_line(1, " CA ", "ALA", "A", 1, 1.0, 0.0, 0.0),
+            "ENDMDL",
+            atom_line(2, " CA ", "ALA", "A", 2, 5.0, 0.0, 0.0),
+        ])
+        assert parse_pdb(text).tolist() == [[1.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("end", ["ENDMDL", "MODEL        2"])
+    def test_malformed_atom_after_first_model_ignored(self, end):
+        text = "\n".join([
+            "MODEL        1",
+            atom_line(1, " CA ", "ALA", "A", 1, 1.0, 0.0, 0.0),
+            end,
+            "ATOM      2  CA  ALA A   2      bad",
+        ])
+        assert parse_pdb(text).tolist() == [[1.0, 0.0, 0.0]]
+
     def test_short_record_raises_with_line_number(self):
         text = "\n".join([
             atom_line(1, " CA ", "ALA", "A", 1, 1.0, 0.0, 0.0),
@@ -129,6 +147,18 @@ class TestLoadCsv:
     def test_empty_raises(self):
         with pytest.raises(EmptySelection):
             load_csv("")
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_cr_and_crlf_line_ends(self, newline, kind):
+        def source(*rows):
+            text = newline.join(rows)
+            return text.encode() if kind is bytes else text
+        cloud = load_csv(source("x,y", "1,2", "", "3,4", ""))
+        assert cloud.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(NonNumeric) as exc:
+            load_csv(source("x,y", "1,2", "", "3,?"))
+        assert exc.value.line_number == 4
 
     @pytest.mark.parametrize("source", ["\ufeff0,0\n1,0\n1,1\n0,1\n",
                                         b"\xef\xbb\xbf0,0\n1,0\n1,1\n0,1\n"])

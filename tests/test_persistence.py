@@ -215,6 +215,16 @@ class TestDiagramCsv:
         with pytest.raises(RipsphError):
             read_diagram_csv("dim,birth,death\n0,zero,1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("dim,birth,death\n\n1,0,x\n", "line 3: unparseable pair"),
+        ("\ndim,birth,death\n \n\n1,0\n", "line 5: expected 3 fields"),
+        ("dim,birth,death\n1,0,1\n\n1,2.0,1.0\n", "line 4: death 1.0 before birth 2.0"),
+    ], ids=["unparseable", "field count", "pair"])
+    def test_error_names_the_physical_line(self, text, message):
+        # blank lines count, as in load_csv
+        with pytest.raises(RipsphError, match=f"^{re.escape(message)}$"):
+            read_diagram_csv(text)
+
     @pytest.mark.parametrize("bom", ["\ufeff", b"\xef\xbb\xbf"])
     def test_byte_order_mark_ignored(self, bom):
         text = "dim,birth,death\n1,0.0,1.0\n0,0.5,inf\n"

@@ -12,7 +12,7 @@ from ripsph.core import PersistenceDiagram, PersistencePair, validate_complex
 from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import persistence_diagram
-from ripsph.rips import (RipsParams, _clique_counts, build_rips,
+from ripsph.rips import (RipsParams, _clique_counts, _Graph, build_rips,
                          complex_at_scale, enclosing_radius, rips_persistence)
 
 SQRT2 = math.sqrt(2.0)
@@ -284,6 +284,26 @@ class TestRipsPersistence:
         assert d == PersistenceDiagram(
             [PersistencePair(0, 0.0, 1.0)] * 3 + [PersistencePair(0, 0.0),
                                                   PersistencePair(1, 1.0, SQRT2)])
+
+    @pytest.mark.parametrize("cloud, calls", [
+        ("grid 4x4", 32), ("grid 3x3x2", 16), ("uniform 30", 34),
+        ("circle 40", 486)])
+    def test_coboundaries_built(self, monkeypatch, cloud, calls):
+        # only columns whose first pivot is already owned build a
+        # coboundary; a broken apparent-pair shortcut changes no diagram
+        # but changes this count
+        t = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+        pts = {"grid 4x4": np.argwhere(np.ones((4, 4))),
+               "grid 3x3x2": np.argwhere(np.ones((3, 3, 2))),
+               "uniform 30": np.random.default_rng(0).uniform(size=(30, 3)),
+               "circle 40": np.column_stack((np.cos(t), np.sin(t)))}[cloud]
+        m = pairwise_distances(pts.astype(float))
+        built = []
+        coboundary = _Graph.coboundary
+        monkeypatch.setattr(_Graph, "coboundary",
+                            lambda g, *a: built.append(a) or coboundary(g, *a))
+        rips_persistence(m, 2, m.max())
+        assert len(built) == calls
 
     def test_dimension_too_large(self):
         with pytest.raises(DimensionTooLarge):
