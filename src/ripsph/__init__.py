@@ -22,19 +22,20 @@ from .persistence import (betti_at_scale, pairs_to_diagram,
                           write_diagram_csv)
 from .render import (RenderOptions, render_barcode_svg, render_diagram_svg,
                      write_betti_table)
-from .rips import (RipsParams, build_rips, complex_at_scale, enclosing_radius,
-                   rips_persistence)
+from .rips import (RipsParams, build_rips, cloud_persistence, complex_at_scale,
+                   enclosing_radius, rips_persistence)
 
 __all__ = [
     "Chain", "Filtration", "PersistenceDiagram", "PersistencePair",
     "RenderOptions", "RipsParams", "Simplex", "SimplicialComplex",
     "are_homologous", "betti_at_scale", "betti_numbers",
     "bottleneck_distance", "boundary_of_chain", "boundary_of_simplex",
-    "build_boundary_matrix", "build_rips", "complex_at_scale",
-    "enclosing_radius", "is_cycle", "load_csv", "pairs_to_diagram",
-    "pairwise_distances", "parse_pdb", "persistence_diagram", "rank_z2",
-    "read_diagram_csv", "reduce_filtration", "render_barcode_svg",
-    "render_diagram_svg", "rips_persistence", "significant_features",
-    "validate_complex", "validate_metric", "wasserstein_distance",
-    "write_betti_table", "write_csv", "write_diagram_csv",
+    "build_boundary_matrix", "build_rips", "cloud_persistence",
+    "complex_at_scale", "enclosing_radius", "is_cycle", "load_csv",
+    "pairs_to_diagram", "pairwise_distances", "parse_pdb",
+    "persistence_diagram", "rank_z2", "read_diagram_csv",
+    "reduce_filtration", "render_barcode_svg", "render_diagram_svg",
+    "rips_persistence", "significant_features", "validate_complex",
+    "validate_metric", "wasserstein_distance", "write_betti_table",
+    "write_csv", "write_diagram_csv",
 ]

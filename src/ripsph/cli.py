@@ -22,7 +22,7 @@ from .persistence import (betti_at_scale, read_diagram_csv,
                           significant_features, write_diagram_csv)
 from .render import (RenderOptions, render_barcode_svg, render_diagram_svg,
                      write_betti_table)
-from .rips import _clique_counts, rips_persistence
+from .rips import _clique_counts, cloud_persistence, rips_persistence
 from .distances import bottleneck_distance, wasserstein_distance
 
 EXIT_PARSE = 2
@@ -65,13 +65,10 @@ def _check_config(args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     points = _load_points(args.input, args.format, args.chain)
-    matrix = pairwise_distances(points)
     threshold = args.threshold
-    if threshold is None:
-        threshold = float(matrix.max())
-    elif args.scale_convention == "radius":
+    if args.scale_convention == "radius":
         threshold *= 2.0  # diagrams always report diameter-convention scales
-    diagram = rips_persistence(matrix, args.max_dimension, threshold)
+    diagram = cloud_persistence(points, args.max_dimension, threshold)
     significant = significant_features(diagram, args.min_persistence)
 
     if args.diagram_csv:
@@ -154,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="full pipeline: points to diagram and outputs")
     _add_input_args(run)
     run.add_argument("--max-dimension", type=int, default=2)
-    run.add_argument("--threshold", type=float, default=None,
-                     help="max filtration scale (default: max pairwise distance)")
+    run.add_argument("--threshold", type=float, default=math.inf,
+                     help="max filtration scale (default: inf, every distance)")
     run.add_argument("--scale-convention", choices=("diameter", "radius"),
                      default="diameter",
                      help="radius doubles the threshold; outputs stay in diameter scale")

@@ -1,14 +1,14 @@
-"""Vietoris-Rips filtrations and their persistence, from a distance matrix.
+"""Vietoris-Rips filtrations and their persistence, from a distance matrix
+or from the points themselves.
 
 Scale values use the edge-length (diameter) convention: a simplex enters
 at the largest pairwise distance among its vertices. Callers working in
 the radius convention double their threshold before calling in.
 
-Two paths share one input check and one clique enumeration, the
-level-wise expansion of `_Graph` (Zomorodian, "Fast construction of the
-Vietoris-Rips complex", 2010): every level, edges included, grows from
-the one below, starting at the vertex level, and every diameter is read
-in `_Graph.cofaces`:
+All paths share one clique enumeration, the level-wise expansion of
+`_Graph` (Zomorodian, "Fast construction of the Vietoris-Rips complex",
+2010): every level, edges included, grows from the one below, starting
+at the vertex level, and every diameter is read in `_Graph.cofaces`:
 
 - `build_rips` lists every simplex as a `Filtration` entry, the general
   path that `persistence_diagram` reduces and that tests use as referee;
@@ -17,7 +17,13 @@ in `_Graph.cofaces`:
   with clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
   persistent (co)homology", 2011), on numpy arrays of vertex rows, and
   builds a coboundary only for the few columns whose first pivot is
-  already owned, as Ripser does (Bauer, "Ripser", JACT 2021).
+  already owned, as Ripser does (Bauer, "Ripser", JACT 2021);
+- `cloud_persistence` computes the same diagram from points, with only
+  the distances the graph can hold: like Ripser's sparse input, the
+  pairs within the threshold, stopped at the enclosing radius.
+
+`_Graph` is built from one list of pairs i < j and a dense distance
+lookup; the matrix paths share one input check.
 """
 from __future__ import annotations
 
@@ -29,10 +35,13 @@ import numpy as np
 from .core import (Filtration, PersistenceDiagram, PersistencePair, Simplex,
                    SimplicialComplex)
 from .errors import DimensionTooLarge, NotSquare
+from .metrics import pairs_within
 
 # candidate cells per numpy pass of rips_persistence: each float64
 # temporary of a pass holds at most 2 MiB, whatever the point count
 _CELLS = 1 << 18
+# edges per list conversion of the H0 walk, which stops at a spanning tree
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -60,11 +69,14 @@ def _checked(m: np.ndarray, max_dimension: int) -> np.ndarray:
         i, j = np.argwhere(~(m >= 0.0) | np.isinf(m))[0]
         raise ValueError(f"distance ({i},{j}) is {float(m[i, j])!r}; "
                          "distances must be finite and non-negative")
-    if max_dimension + 1 >= m.shape[0]:
-        raise DimensionTooLarge(
-            f"homology dimension {max_dimension} needs more than "
-            f"{m.shape[0]} points")
+    _check_dimension(max_dimension, m.shape[0])
     return m
+
+
+def _check_dimension(max_dimension: int, n: int) -> None:
+    if max_dimension + 1 >= n:
+        raise DimensionTooLarge(
+            f"homology dimension {max_dimension} needs more than {n} points")
 
 
 def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
@@ -77,7 +89,7 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     is read into the result; all of m is checked.
     """
     m = _checked(m, params.max_dimension)
-    g = _Graph(m, params.threshold)
+    g = _matrix_graph(m, params.threshold)
     entries = []
     s, diam = g.vertices
     for k in range(params.max_dimension + 2):
@@ -100,7 +112,7 @@ def _clique_counts(m: np.ndarray, top: int, threshold: float) -> list[int]:
     level and are counted as stored; the top level is counted pass by pass
     and never stored, so memory peaks at the level below."""
     m = _checked(m, top - 1)
-    g = _Graph(m, threshold)
+    g = _matrix_graph(m, threshold)
     s, diam = g.vertices
     counts = [len(s)]
     for _ in range(1, top):
@@ -126,20 +138,19 @@ def enclosing_radius(m: np.ndarray) -> float:
 
 
 class _Graph:
-    """The neighbourhood graph of m at scale eps, as CSR lists: the
-    neighbours of vertex i are nbr[ptr[i]:ptr[i + 1]], ascending. The
-    vertex level, one-vertex rows at diameter 0, starts every clique walk."""
+    """The neighbourhood graph of the pairs i < j at scale eps, as CSR
+    lists: the neighbours of vertex v are nbr[ptr[v]:ptr[v + 1]], ascending.
+    m is an n x n lookup of the pairs' distances, read for every candidate
+    coface in O(1): a distance matrix, or a table holding only the pairs
+    and inf elsewhere. The vertex level, one-vertex rows at diameter 0,
+    starts every clique walk."""
 
-    def __init__(self, m: np.ndarray, eps: float):
+    def __init__(self, i: np.ndarray, j: np.ndarray, m: np.ndarray, eps: float):
         n = m.shape[0]
-        rows, cols, block = [], [], max(1, _CELLS // n)
-        for a in range(0, n, block):
-            r, c = np.nonzero(m[a:a + block] <= eps)
-            keep = r + a != c
-            rows.append(r[keep] + a)
-            cols.append(c[keep])
-        rows, self.nbr = np.concatenate(rows), np.concatenate(cols)
-        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        keys = np.concatenate((i * n + j, j * n + i))
+        keys.sort()
+        self.nbr = keys % n
+        self.ptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self.m, self.eps = m, eps
         # simplices per numpy pass, so that no pass exceeds _CELLS cells
         self.step = max(1, _CELLS // max(1, int(np.diff(self.ptr).max())))
@@ -181,7 +192,9 @@ class _Graph:
             r, c = np.nonzero(grow)
             grown.append(np.column_stack((part[r], l[r, c])))
             diams.append(d[r, c])
-        return _sorted(np.concatenate(grown), np.concatenate(diams))
+        s, diam = np.concatenate(grown), np.concatenate(diams)
+        del grown, diams  # the parts would double the level while it sorts
+        return _sorted(s, diam)
 
     def first_pivots(self, s: np.ndarray,
                      diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,6 +220,18 @@ class _Graph:
                 for v, dd in zip(l[0][ok].tolist(), d[0][ok].tolist())}
 
 
+def _matrix_graph(m: np.ndarray, eps: float) -> _Graph:
+    """The graph of the upper triangle of m at eps, read in row blocks."""
+    n = m.shape[0]
+    rows, cols, block = [], [], max(1, _CELLS // n)
+    for a in range(0, n, block):
+        r, c = np.nonzero(m[a:a + block] <= eps)
+        keep = c > r + a
+        rows.append(r[keep] + a)
+        cols.append(c[keep])
+    return _Graph(np.concatenate(rows), np.concatenate(cols), m, eps)
+
+
 def _sorted(s: np.ndarray, diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """s and diam in filtration order: by diameter, then vertex tuple."""
     order = np.lexsort((*s.T[::-1], diam))
@@ -216,7 +241,8 @@ def _sorted(s: np.ndarray, diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _h0(s: np.ndarray, diam: np.ndarray, n: int, pairs: list) -> set:
     """Kruskal union-find over the edges in filtration order: each edge
     that merges two components kills one class born at 0. Returns the
-    merging edges, which need no H1 column."""
+    merging edges, which need no H1 column. The edges are read in chunks
+    and the walk stops at a spanning tree, after n - 1 merges."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -226,7 +252,11 @@ def _h0(s: np.ndarray, diam: np.ndarray, n: int, pairs: list) -> set:
         return x
 
     merging = set()
-    for (i, j), d in zip(s.tolist(), diam.tolist()):
+    edges = ((e, d) for a in range(0, len(s), _CHUNK)
+             for e, d in zip(s[a:a + _CHUNK].tolist(), diam[a:a + _CHUNK].tolist()))
+    for (i, j), d in edges:
+        if len(merging) == n - 1:
+            break
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[rj] = ri
@@ -272,10 +302,47 @@ def rips_persistence(m: np.ndarray, max_dim: int,
     """
     params = RipsParams(max_dim, threshold)
     m = _checked(m, max_dim)
-    g = _Graph(m, min(params.threshold, enclosing_radius(m)))
+    return _diagram(_matrix_graph(m, min(params.threshold, enclosing_radius(m))),
+                    max_dim)
+
+
+def cloud_persistence(points: np.ndarray, max_dim: int,
+                      threshold: float) -> PersistenceDiagram:
+    """rips_persistence(pairwise_distances(points), max_dim, threshold),
+    computing only the distances within the threshold (pairs_within).
+
+    The enclosing radius R comes from those pairs: R <= threshold iff some
+    vertex has all others within the threshold, and then R is the least
+    largest distance of such a vertex, so the filtration stops at the same
+    min(threshold, R). The lookup table is n x n, inf off the kept pairs.
+    """
+    params = RipsParams(max_dim, threshold)
+    i, j, d = pairs_within(points, params.threshold)
+    n = len(points)
+    _check_dimension(max_dim, n)
+    eps = params.threshold
+    full = np.bincount(np.concatenate((i, j)), minlength=n) == n - 1
+    if full.any():
+        reach = np.zeros(n)
+        np.maximum.at(reach, i, d)
+        np.maximum.at(reach, j, d)
+        eps = min(eps, float(reach[full].min()))
+        keep = d <= eps
+        i, j, d = i[keep], j[keep], d[keep]
+        del keep
+    table = np.full((n, n), np.inf)
+    table[i, j] = table[j, i] = d
+    g = _Graph(i, j, table, eps)
+    del i, j, d  # g and its table hold the pairs from here on
+    return _diagram(g, max_dim)
+
+
+def _diagram(g: _Graph, max_dim: int) -> PersistenceDiagram:
+    """H0 to H_max_dim of the clique filtration of g, by union-find and
+    cohomology with clearing."""
     pairs: list[tuple[int, float, float]] = []
     s, diam = g.expand(*g.vertices)
-    cleared = _h0(s, diam, m.shape[0], pairs)
+    cleared = _h0(s, diam, len(g.ptr) - 1, pairs)
     for k in range(1, max_dim + 1):
         if k > 1:
             s, diam = g.expand(s, diam)

@@ -259,7 +259,9 @@ class TestValidate:
         assert f"filtration entries: {entries}\n" in out
 
     @pytest.mark.parametrize("argv", [["validate", "{path}", "--threshold", "1"],
-                                      ["run", "{path}"], ["validate", "{path}"]])
+                                      ["run", "{path}"],
+                                      ["run", "{path}", "--threshold", "1"],
+                                      ["validate", "{path}"]])
     def test_overflowing_distances_exit_2(self, tmp_path, capsys, argv):
         path = tmp_path / "huge.csv"
         path.write_text("0,0\n1e200,0\n1,1\n2,0\n")  # (1e200)**2 is inf

@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import naive_validate_metric
 from ripsph.errors import NotSquare
-from ripsph.metrics import pairwise_distances, validate_metric
+from ripsph.metrics import pairs_within, pairwise_distances, validate_metric
 
 
 class TestPairwiseDistances:
@@ -30,6 +33,75 @@ class TestPairwiseDistances:
         # finite coordinates whose squared difference overflows to inf
         with pytest.raises(ValueError, match=r"distance \(0,1\) is inf"):
             pairwise_distances(np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]]))
+
+
+def sweep_cloud(kind, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 8
+    if kind == "uniform":
+        return rng.uniform(size=(30, dim))
+    if kind == "grid":
+        return rng.integers(0, 3, size=(30, dim)).astype(float)
+    if kind == "duplicates":
+        pts = rng.uniform(size=(20, dim))
+        return np.concatenate([pts, pts[::2]])
+    if kind == "small":
+        return rng.normal(size=(30, dim)) * 1e-6
+    if kind == "large":
+        return rng.normal(size=(30, dim)) * 1e6 + 1e9
+    # x differences whose squares underflow to zero: at threshold 0 all
+    # ten pairs are kept, at distance 0
+    return np.column_stack([np.arange(5) * 1e-200, np.zeros((5, dim - 1))])
+
+
+def as_triples(i, j, d):
+    return sorted(zip(i.tolist(), j.tolist(), d.view(np.int64).tolist()))
+
+
+class TestPairsWithin:
+    """The sweep keeps exactly the pairs the dense matrix holds within eps,
+    with the same distances bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["uniform", "grid", "duplicates", "small",
+                                      "large", "underflow"])
+    @pytest.mark.parametrize("where", ["zero", "median", "below", "at", "max",
+                                       "inf"])
+    def test_matches_the_matrix(self, kind, seed, where):
+        pts = sweep_cloud(kind, seed)
+        m = pairwise_distances(pts)
+        radius = float(m.max(axis=1).min())
+        eps = {"zero": 0.0, "median": float(np.median(m[np.triu_indices(len(m), 1)])),
+               "below": float(np.nextafter(radius, 0.0)), "at": radius,
+               "max": float(m.max()), "inf": math.inf}[where]
+        i, j = np.nonzero(np.triu(m <= eps, 1))
+        assert as_triples(*pairs_within(pts, eps)) == as_triples(i, j, m[i, j])
+
+    def test_single_point(self):
+        i, j, d = pairs_within(np.array([[1.0, 2.0]]), math.inf)
+        assert len(i) == len(j) == len(d) == 0
+
+    def test_overflow_rejected_without_warning(self):
+        pts = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"distance \(0,1\) is inf"):
+                pairs_within(pts, 1.0)
+
+    def test_wide_spans_that_do_not_overflow(self):
+        # past the span bound, yet every distance is finite
+        pts = np.array([[0.0], [1e154], [1.25e154]])
+        m = pairwise_distances(pts)
+        i, j = np.triu_indices(3, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_triples(*pairs_within(pts, math.inf)) == as_triples(
+                i, j, m[i, j])
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="point cloud"):
+            pairs_within(np.zeros(shape), 1.0)
 
 
 class TestValidateMetric:

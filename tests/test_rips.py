@@ -12,8 +12,10 @@ from ripsph.core import PersistenceDiagram, PersistencePair, validate_complex
 from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import persistence_diagram
+from ripsph import rips
 from ripsph.rips import (RipsParams, _clique_counts, _Graph, build_rips,
-                         complex_at_scale, enclosing_radius, rips_persistence)
+                         cloud_persistence, complex_at_scale, enclosing_radius,
+                         rips_persistence)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -234,7 +236,7 @@ class TestRipsPersistence:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9),
            grid=st.booleans(), duplicate=st.booleans(),
            max_dim=st.integers(0, 3),
-           scale=st.sampled_from(["below", "at", "above"]))
+           scale=st.sampled_from(["below", "at", "above", "inf"]))
     def test_matches_boundary_reduction_and_oracle(self, seed, n, grid,
                                                    duplicate, max_dim, scale):
         pts = seeded_cloud(seed, n, grid)
@@ -243,10 +245,13 @@ class TestRipsPersistence:
         m = pairwise_distances(pts)
         max_dim = min(max_dim, len(pts) - 2)
         r = enclosing_radius(m)
-        threshold = {"below": 0.7 * r, "at": r, "above": float(m.max()) + 1.0}[scale]
+        threshold = {"below": 0.7 * r, "at": r, "above": float(m.max()) + 1.0,
+                     "inf": math.inf}[scale]
         d = rips_persistence(m, max_dim, threshold)
         f = build_rips(m, RipsParams(max_dim, threshold))
         assert d == persistence_diagram(f, max_dim=max_dim)
+        # ripsph run's entry: the sweep's pairs instead of the matrix
+        assert cloud_persistence(pts, max_dim, threshold) == d
         assert (sorted((p.dimension, p.birth, p.death) for p in d)
                 == naive_reduction_diagram(f, max_dim=max_dim))
 
@@ -308,6 +313,8 @@ class TestRipsPersistence:
     def test_dimension_too_large(self):
         with pytest.raises(DimensionTooLarge):
             rips_persistence(equilateral_matrix(), 2, 1.0)
+        with pytest.raises(DimensionTooLarge):
+            cloud_persistence(np.eye(3), 2, 1.0)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4,), (0, 0)])
     def test_rejects_non_square_or_empty(self, shape):
@@ -327,3 +334,50 @@ class TestRipsPersistence:
     def test_rejects_bad_parameters(self, max_dim, threshold):
         with pytest.raises(ValueError):
             rips_persistence(unit_square_matrix(), max_dim, threshold)
+        with pytest.raises(ValueError):
+            cloud_persistence(np.eye(4), max_dim, threshold)
+
+
+class TestCloudPersistence:
+    """The points entry stops where the matrix entry does: the enclosing
+    radius comes from the kept pairs, not from a matrix."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_thresholds_around_the_enclosing_radius(self, seed):
+        pts = seeded_cloud(seed, 5 + seed % 6, grid=seed % 2 == 1)
+        if seed % 3 == 0:
+            pts = np.concatenate([pts, pts[:2]])
+        m = pairwise_distances(pts)
+        r = enclosing_radius(m)
+        max_dim = min(2, len(pts) - 2)
+        for t in (0.0, float(np.nextafter(r, 0.0)), r,
+                  float(np.nextafter(r, math.inf)), float(m.max()), math.inf):
+            assert (cloud_persistence(pts, max_dim, t)
+                    == rips_persistence(m, max_dim, t)), (seed, t)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graph_stops_where_the_matrix_entry_does(self, monkeypatch, seed):
+        # a later stop changes no diagram, only the work: look at the graph
+        pts = seeded_cloud(seed, 9, grid=seed % 2 == 1)
+        m = pairwise_distances(pts)
+        r = enclosing_radius(m)
+        graphs = []
+        diagram = rips._diagram
+        monkeypatch.setattr(rips, "_diagram",
+                            lambda g, k: graphs.append(g) or diagram(g, k))
+        for t in (0.5 * r, r, float(m.max()), math.inf):
+            rips_persistence(m, 1, t)
+            cloud_persistence(pts, 1, t)
+            by_matrix, by_points = graphs[-2:]
+            assert by_points.eps == by_matrix.eps == min(t, r)
+            assert np.array_equal(by_points.ptr, by_matrix.ptr)
+            assert np.array_equal(by_points.nbr, by_matrix.nbr)
+
+    def test_unit_square(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert (cloud_persistence(pts, 1, math.inf)
+                == rips_persistence(unit_square_matrix(), 1, 2.0))
+
+    def test_all_points_equal(self):
+        expected = PersistenceDiagram([PersistencePair(0, 0.0)])
+        assert cloud_persistence(np.ones((5, 3)), 2, 0.0) == expected
