@@ -1,7 +1,7 @@
 """Command-line pipeline: point cloud -> Rips filtration -> persistence.
 
 Subcommands: run, betti, distance, pdb-extract, validate. Exit codes:
-0 success, 2 input parse failure, 3 invalid configuration.
+0 success, 2 input parse failure, 3 invalid configuration or out of memory.
 """
 from __future__ import annotations
 
@@ -201,6 +201,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ConfigError, DimensionTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a run too large for the machine is a configuration to shrink
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (RipsphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,19 +85,24 @@ def load_csv(source: Union[str, bytes, IO]) -> np.ndarray:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if first:
             first = False
             try:
-                float(fields[0])
+                float(fields[0].strip())
             except ValueError:
                 continue  # header row
-        values = []
-        for f in fields:
-            try:
-                values.append(float(f))
-            except ValueError:
-                raise NonNumeric(lineno, f) from None
+        try:
+            values = list(map(float, fields))  # float() skips the spaces
+        except ValueError:
+            # field by field, to name the bad one; strip() also drops the
+            # few separators that float() does not take for spaces
+            values = []
+            for f in map(str.strip, fields):
+                try:
+                    values.append(float(f))
+                except ValueError:
+                    raise NonNumeric(lineno, f) from None
         if width is None:
             width = len(values)
         elif len(values) != width:

@@ -22,8 +22,11 @@ at the vertex level, and every diameter is read in `_Graph.cofaces`:
   the distances the graph can hold: like Ripser's sparse input, the
   pairs within the threshold, stopped at the enclosing radius.
 
-`_Graph` is built from one list of pairs i < j and a dense distance
-lookup; the matrix paths share one input check.
+`_Graph` is built from one list of weighted pairs i < j and owns every
+weight it reads: a CSR array next to the neighbour lists, and a band
+table that gives any other pair in O(1) with no n x n array unless the
+graph is dense. The points entry labels its vertices in sweep order to
+keep that band narrow; the matrix paths share one input check.
 """
 from __future__ import annotations
 
@@ -138,41 +141,59 @@ def enclosing_radius(m: np.ndarray) -> float:
 
 
 class _Graph:
-    """The neighbourhood graph of the pairs i < j at scale eps, as CSR
-    lists: the neighbours of vertex v are nbr[ptr[v]:ptr[v + 1]], ascending.
-    m is an n x n lookup of the pairs' distances, read for every candidate
-    coface in O(1): a distance matrix, or a table holding only the pairs
-    and inf elsewhere. The vertex level, one-vertex rows at diameter 0,
-    starts every clique walk."""
+    """The neighbourhood graph of the pairs i < j of weights w at scale
+    eps, as CSR lists: the neighbours of vertex v are nbr[ptr[v]:ptr[v + 1]],
+    ascending, and wt holds their weights in the same cells.
 
-    def __init__(self, i: np.ndarray, j: np.ndarray, m: np.ndarray, eps: float):
-        n = m.shape[0]
+    Every other weight is read from table, a band owned by the graph:
+    vertex v's row holds width = min(n, 4b + 3) columns, with b the largest
+    j - i of a pair, and the weight of (v, l) sits at table[off[v] + l], inf
+    where v and l are not a pair (v == l included). cofaces reads only
+    pairs of two neighbours of one vertex, which are at most 2b labels
+    apart, so every lookup lands in row v's own cells: O(1) and unclamped.
+    Labels in sweep order keep b small; a dense graph gets width = n, one
+    row per vertex of an n x n table. The vertex level, one-vertex rows at
+    diameter 0, starts every clique walk."""
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int,
+                 eps: float):
         keys = np.concatenate((i * n + j, j * n + i))
-        keys.sort()
+        order = np.argsort(keys)
+        keys = keys[order]
         self.nbr = keys % n
+        self.wt = np.concatenate((w, w))[order]
         self.ptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        self.m, self.eps = m, eps
+        del keys, order  # not held while the table is filled
+        b = int((j - i).max(initial=0))
+        width = min(n, 4 * b + 3)
+        v = np.arange(n)
+        self.off = v * width - np.clip(v - 2 * b - 1, 0, n - width)
+        self.table = np.full(n * width, np.inf)
+        self.table[self.off[i] + j] = self.table[self.off[j] + i] = w
+        self.eps = eps
         # simplices per numpy pass, so that no pass exceeds _CELLS cells
         self.step = max(1, _CELLS // max(1, int(np.diff(self.ptr).max())))
-        self.vertices = np.arange(n)[:, None], np.zeros(n)
+        self.vertices = v[:, None], np.zeros(n)
 
     def cofaces(self, s: np.ndarray,
                 diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For simplices s (rows of sorted vertices) of diameters diam: the
         candidate added vertices l, padded rows of the first vertex's
         neighbours, and the diameter of each s + l, inf where s + l is
-        not a simplex within eps."""
+        not a simplex of the graph."""
         first = s[:, 0]
-        start, width = self.ptr[first], self.ptr[first + 1] - self.ptr[first]
-        pos = np.arange(int(width.max(initial=0)))
-        ok = pos < width[:, None]
-        l = self.nbr[np.where(ok, start[:, None] + pos, 0)]
-        d = np.maximum(diam[:, None], self.m[first[:, None], l])
-        for v in s[:, 1:].T:
-            e = self.m[v[:, None], l]
-            ok &= (e <= self.eps) & (l != v[:, None])
-            np.maximum(d, e, out=d)
-        d[~ok] = np.inf
+        start, end = self.ptr[first], self.ptr[first + 1]
+        pos = np.arange(int((end - start).max(initial=0)))
+        # a padded cell repeats the first vertex's last neighbour, which
+        # keeps it in every row's band; an isolated first vertex, at the
+        # vertex level only, reads the cell before its empty list
+        at = np.minimum(start[:, None] + pos, end[:, None] - 1)
+        l, d = self.nbr[at], self.wt[at]
+        np.maximum(d, diam[:, None], out=d)
+        d[pos >= (end - start)[:, None]] = np.inf
+        for v in s[:, 1:].T:  # at, no longer needed, holds the cells
+            cells = np.add(self.off[v][:, None], l, out=at)
+            np.maximum(d, self.table[cells], out=d)
         return l, d
 
     def passes(self, s: np.ndarray, diam: np.ndarray):
@@ -229,7 +250,8 @@ def _matrix_graph(m: np.ndarray, eps: float) -> _Graph:
         keep = c > r + a
         rows.append(r[keep] + a)
         cols.append(c[keep])
-    return _Graph(np.concatenate(rows), np.concatenate(cols), m, eps)
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    return _Graph(i, j, m[i, j], n, eps)
 
 
 def _sorted(s: np.ndarray, diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,12 +336,20 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
     The enclosing radius R comes from those pairs: R <= threshold iff some
     vertex has all others within the threshold, and then R is the least
     largest distance of such a vertex, so the filtration stops at the same
-    min(threshold, R). The lookup table is n x n, inf off the kept pairs.
+    min(threshold, R). The vertices are relabelled in sweep order (by first
+    coordinate, stable), so that no pair spans more labels than the sweep
+    window and the graph's band table stays narrow; the diagram does not
+    depend on the labels.
     """
     params = RipsParams(max_dim, threshold)
     i, j, d = pairs_within(points, params.threshold)
     n = len(points)
     _check_dimension(max_dim, n)
+    label = np.empty(n, np.intp)
+    x = np.asarray(points, np.float64)[:, 0]
+    label[np.argsort(x, kind="stable")] = np.arange(n)
+    i, j = label[i], label[j]
+    i, j = np.minimum(i, j), np.maximum(i, j)
     eps = params.threshold
     full = np.bincount(np.concatenate((i, j)), minlength=n) == n - 1
     if full.any():
@@ -330,10 +360,8 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
         keep = d <= eps
         i, j, d = i[keep], j[keep], d[keep]
         del keep
-    table = np.full((n, n), np.inf)
-    table[i, j] = table[j, i] = d
-    g = _Graph(i, j, table, eps)
-    del i, j, d  # g and its table hold the pairs from here on
+    g = _Graph(i, j, d, n, eps)
+    del i, j, d  # g holds the pairs from here on
     return _diagram(g, max_dim)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ripsph import cli
 from ripsph.cli import main
 from ripsph.homology import betti_numbers
 from ripsph.metrics import pairwise_distances
@@ -60,6 +61,22 @@ class TestRun:
     def test_dimension_too_large_exits_3(self, tmp_path, capsys):
         path, _ = circle_csv(tmp_path, n=3)
         assert main(["run", str(path), "--max-dimension", "5"]) == 3
+
+    @pytest.mark.parametrize("message, shown", [
+        ("", "allocation failed"),
+        ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000) "
+         "and data type float64", "Unable to allocate 2.98 GiB")])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch,
+                                   message, shown):
+        def too_large(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "cloud_persistence", too_large)
+        path, _ = circle_csv(tmp_path)
+        assert main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: out of memory: {shown}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_radius_convention_doubles_threshold(self, tmp_path):
         path, pts = circle_csv(tmp_path)

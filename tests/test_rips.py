@@ -214,6 +214,15 @@ class TestCliqueCounts:
             _clique_counts(m, 1, 2.0)
 
 
+def weighted_edges(g, label):
+    """The edges of g's CSR lists as (u, v, weight), u < v, with graph
+    vertex k renamed label[k]."""
+    v = np.repeat(np.arange(len(g.ptr) - 1), np.diff(g.ptr))
+    u, w = label[v], label[g.nbr]
+    return set(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist(),
+                   g.wt.tolist()))
+
+
 def reference_diagram(m, max_dim, threshold):
     return persistence_diagram(build_rips(m, RipsParams(max_dim, threshold)),
                                max_dim=max_dim)
@@ -357,8 +366,10 @@ class TestCloudPersistence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_graph_stops_where_the_matrix_entry_does(self, monkeypatch, seed):
-        # a later stop changes no diagram, only the work: look at the graph
+        # a later stop changes no diagram, only the work: look at the graph.
+        # The points entry labels its vertices in sweep order.
         pts = seeded_cloud(seed, 9, grid=seed % 2 == 1)
+        sweep = np.argsort(pts[:, 0], kind="stable")
         m = pairwise_distances(pts)
         r = enclosing_radius(m)
         graphs = []
@@ -370,8 +381,8 @@ class TestCloudPersistence:
             cloud_persistence(pts, 1, t)
             by_matrix, by_points = graphs[-2:]
             assert by_points.eps == by_matrix.eps == min(t, r)
-            assert np.array_equal(by_points.ptr, by_matrix.ptr)
-            assert np.array_equal(by_points.nbr, by_matrix.nbr)
+            assert (weighted_edges(by_points, sweep)
+                    == weighted_edges(by_matrix, np.arange(len(pts))))
 
     def test_unit_square(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -381,3 +392,87 @@ class TestCloudPersistence:
     def test_all_points_equal(self):
         expected = PersistenceDiagram([PersistencePair(0, 0.0)])
         assert cloud_persistence(np.ones((5, 3)), 2, 0.0) == expected
+
+
+def noisy_curve(seed, n):
+    """n points in shuffled order along three turns of a helix ten units
+    long in x, with Gaussian noise: in sweep order, each point's near
+    neighbours are a few labels away."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, n)
+    pts = np.column_stack((10.0 * t, np.cos(6.0 * math.pi * t),
+                           np.sin(6.0 * math.pi * t)))
+    return pts + rng.normal(0.0, 0.05, pts.shape)
+
+
+def with_duplicates(pts):
+    return np.concatenate([pts, pts[::9]])
+
+
+class TestBandTable:
+    """cloud_persistence on clouds long in x, where the sweep window b is
+    small against n and the graph's table is a band of 4b + 3 columns per
+    vertex. Near the enclosing radius R the band cannot be taken: the
+    vertex that reaches all others spans at least (n - 1) / 2 labels, so
+    there the same builder makes the dense table."""
+
+    CLOUDS = {
+        "curve 60": lambda: noisy_curve(0, 60),
+        "curve 150": lambda: noisy_curve(1, 150),
+        "curve 300": lambda: noisy_curve(2, 300),
+        "curve 100 with duplicates": lambda: with_duplicates(noisy_curve(3, 100)),
+        # ties in x and among the distances
+        "grid 40x3": lambda: np.argwhere(np.ones((40, 3))).astype(float),
+        "grid 20x2x2 with duplicates":
+            lambda: with_duplicates(np.argwhere(np.ones((20, 2, 2))).astype(float)),
+    }
+
+    @staticmethod
+    def check_band(g, m):
+        """Every cell cofaces can read, table[off[v] + l] for two neighbours
+        v and l of one vertex, is in row v and holds the weight of (v, l),
+        inf off the graph; m is in g's labels."""
+        n = len(g.ptr) - 1
+        width = g.table.size // n
+        owner = np.repeat(np.arange(n), np.diff(g.ptr))
+        assert np.array_equal(g.wt, m[owner, g.nbr])
+        for u in range(n):
+            nb = g.nbr[g.ptr[u]:g.ptr[u + 1]]
+            v, l = np.repeat(nb, len(nb)), np.tile(nb, len(nb))
+            cell = g.off[v] + l
+            assert ((v * width <= cell) & (cell < (v + 1) * width)).all()
+            weight = np.where((m[v, l] <= g.eps) & (v != l), m[v, l], np.inf)
+            assert np.array_equal(g.table[cell], weight)
+
+    @pytest.mark.parametrize("cloud", CLOUDS)
+    def test_band_layout_matches_the_matrix_entry(self, monkeypatch, cloud):
+        pts = self.CLOUDS[cloud]()
+        n = len(pts)
+        m = pairwise_distances(pts)
+        sweep = np.argsort(pts[:, 0], kind="stable")
+        in_sweep = m[np.ix_(sweep, sweep)]
+        graphs = []
+        diagram = rips._diagram
+        monkeypatch.setattr(rips, "_diagram",
+                            lambda g, k: graphs.append(g) or diagram(g, k))
+        # a distance of the cloud with about eight neighbours per point
+        s = float(np.sort(m[np.triu_indices(n, 1)])[4 * n])
+        r = enclosing_radius(m)
+        for t in (np.nextafter(s, 0.0), s, np.nextafter(s, math.inf),
+                  np.nextafter(r, 0.0), r, np.nextafter(r, math.inf)):
+            t = float(t)
+            # up to H2 on the band; one dimension less near R and one less
+            # at 300 points, where the complexes grow large
+            max_dim = int(n <= 150) + int(t < r / 2)
+            d = cloud_persistence(pts, max_dim, t)
+            g = graphs[-1]
+            assert d == rips_persistence(m, max_dim, t), t
+            self.check_band(g, in_sweep)
+            b = int(np.abs(g.nbr - np.repeat(np.arange(n), np.diff(g.ptr))).max())
+            if t < r / 2:
+                # the band layout was taken
+                assert 4 * b + 3 < n
+                assert g.table.size == n * (4 * b + 3)
+                assert d == reference_diagram(m, max_dim, t), t
+            else:
+                assert g.table.size == n * n
