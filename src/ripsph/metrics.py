@@ -1,10 +1,12 @@
-"""Pairwise Euclidean distances, dense or within a threshold, and
+"""Pairwise Euclidean distances, dense or within a threshold (the pairs a
+kd-tree proposes, each distance computed as in the dense matrix), and
 metric-axiom validation."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import NotSquare
 
@@ -13,13 +15,12 @@ TRIANGLE_TOL = 1e-9
 # at least one row, which takes n * n floats, so past n = 512 the temporary
 # is one more n x n matrix
 _BLOCK_FLOATS = 1 << 18
-# coordinates per block of the pairs_within sweep: 256 KiB per float64
-# temporary, which stays in cache; blocks of 2 MiB ran slower and raised
-# the peak RSS of a 4,000-point run by 2 MiB
-_SWEEP_FLOATS = 1 << 15
-# below this a coordinate difference may square to a subnormal or to zero
-_TINY_DIFF = 2.0 ** -511
-# relative slack of the sweep window, far above every rounding of its bound
+# coordinates per block of pairs_within's distance pass: 256 KiB per
+# float64 temporary, which stays in cache
+_PAIR_FLOATS = 1 << 15
+# below this distance a squared coordinate difference may be subnormal
+_TINY_DISTANCE = 2.0 ** -511
+# relative slack of the kd-tree radius, far above the tree's rounding
 _SLACK = 2.0 ** -40
 
 
@@ -28,9 +29,11 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 
     Each unordered pair is computed once and mirrored, so symmetry holds
     bitwise, not just within floating tolerance. Raises ValueError if a
-    distance is not finite, as when large coordinates overflow.
+    distance is not finite, as when large coordinates overflow. The points
+    are read in C order: einsum may sum a column-major row in another
+    order, which changes the last bit of some distances.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("expected an (n, d) point cloud with n >= 1")
     n = pts.shape[0]
@@ -54,17 +57,13 @@ def pairs_within(points: np.ndarray,
     """The pairs i < j of points at Euclidean distance <= eps, as arrays
     i, j and d in no set order, each d bitwise pairwise_distances(points)[i, j].
 
-    A sweep along the first coordinate: after sorting by it, the candidates
-    of a point are one window of later points, taken in blocks of at most
-    _SWEEP_FLOATS coordinates (or one window), so far pairs cost no
-    distance. The window ends at x + (1 + 2^-40) w + 2^-40 |x| with
-    w = max(eps, 2^-511), and the 2^-40 terms exceed every rounding of that
-    bound and of x' - x, so a skipped pair has a computed difference
-    dx > w. dx >= 2^-511 squares to a normal number, and a distance is a
-    rounded square root of a sum of nonnegative rounded squares, one of
-    them dx^2, so it is at least dx (1 - 2^-52)^2 > eps. A smaller dx may
-    square to zero, which is why w is never below 2^-511: points at x = 0
-    and 1e-200 are at distance 0.
+    The candidates come from one query of scipy's kd-tree at radius
+    r = max(eps, 2^-511) (1 + 2^-40), and each is kept if its d, computed
+    as in pairwise_distances, is <= eps. They hold every pair of the
+    answer: the tree reports every pair whose distance, as it computes it,
+    is at most r; that and d differ by a few ulps, relative; and below
+    2^-511, where squares go subnormal or to zero, the floor on r covers
+    the absolute error (points at x = 0 and 1e-200 are at distance 0).
 
     Raises ValueError as pairwise_distances does if a distance is not
     finite; that check looks at the pairwise_distances matrix only when
@@ -73,41 +72,25 @@ def pairs_within(points: np.ndarray,
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or 0 in pts.shape:
         raise ValueError("expected an (n, d) point cloud with n, d >= 1")
-    n, dim = pts.shape
+    dim = pts.shape[1]
     # half spans cannot overflow; below the bound the sum of dim squared
-    # differences stays under 2^1022; NaN, or inf - inf, fails the test
+    # differences stays under 2^1022; NaN, or inf - inf, fails the test,
+    # so the tree never sees a non-finite coordinate
     with np.errstate(invalid="ignore"):
         half_span = pts.max(axis=0) / 2 - pts.min(axis=0) / 2
     if not half_span.max() <= 2.0 ** 510 / math.sqrt(dim):
         pairwise_distances(pts)
-    order = np.argsort(pts[:, 0], kind="stable")
-    pts = pts[order]
-    x = pts[:, 0]
-    w = max(eps, _TINY_DIFF) * (1.0 + _SLACK)
-    with np.errstate(over="ignore"):  # an infinite bound takes every point
-        end = np.searchsorted(x, x + (w + _SLACK * np.abs(x)), side="right")
-    count = end - np.arange(1, n + 1)
-    first = np.concatenate(([0], np.cumsum(count)))
-    cap = max(1, _SWEEP_FLOATS // dim)
-    out_i, out_j, out_d = [], [], []
-    a0 = 0
-    while a0 < n:
-        # whole windows up to cap candidates, or one window past it
-        a1 = max(a0 + 1, int(np.searchsorted(first, first[a0] + cap, "right")) - 1)
-        rows = np.arange(a0, a1)
-        a = np.repeat(rows, count[a0:a1])
-        b = np.arange(first[a0], first[a1]) + np.repeat(
-            rows + 1 - first[a0:a1], count[a0:a1])
-        # as in pairwise_distances; the sign of a difference squares away
-        diff = pts[b] - pts[a]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        keep = d <= eps
-        a, b = order[a[keep]], order[b[keep]]
-        out_i.append(np.minimum(a, b))
-        out_j.append(np.maximum(a, b))
-        out_d.append(d[keep])
-        a0 = a1
-    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
+    r = max(eps, _TINY_DISTANCE) * (1.0 + _SLACK)
+    ij = cKDTree(pts).query_pairs(r, output_type="ndarray")
+    d = np.empty(len(ij))
+    step = max(1, _PAIR_FLOATS // dim)
+    for a in range(0, len(ij), step):
+        # as in pairwise_distances, where row i holds pts[j] - pts[i], j > i
+        diff = pts[ij[a:a + step, 1]] - pts[ij[a:a + step, 0]]
+        d[a:a + step] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    keep = d <= eps
+    i, j = ij[keep].T
+    return i, j, d[keep]
 
 
 def validate_metric(m: np.ndarray) -> list[str]:

@@ -25,8 +25,9 @@ at the vertex level, and every diameter is read in `_Graph.cofaces`:
 `_Graph` is built from one list of weighted pairs i < j and owns every
 weight it reads: a CSR array next to the neighbour lists, and a band
 table that gives any other pair in O(1) with no n x n array unless the
-graph is dense. The points entry labels its vertices in sweep order to
-keep that band narrow; the matrix paths share one input check.
+graph is dense. The points entry labels its vertices in their order
+along the coordinate axis that keeps that band narrowest; the matrix
+paths share one input check.
 """
 from __future__ import annotations
 
@@ -151,9 +152,9 @@ class _Graph:
     where v and l are not a pair (v == l included). cofaces reads only
     pairs of two neighbours of one vertex, which are at most 2b labels
     apart, so every lookup lands in row v's own cells: O(1) and unclamped.
-    Labels in sweep order keep b small; a dense graph gets width = n, one
-    row per vertex of an n x n table. The vertex level, one-vertex rows at
-    diameter 0, starts every clique walk."""
+    Labels in coordinate order keep b small; a dense graph gets width = n,
+    one row per vertex of an n x n table. The vertex level, one-vertex rows
+    at diameter 0, starts every clique walk."""
 
     def __init__(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int,
                  eps: float):
@@ -336,20 +337,16 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
     The enclosing radius R comes from those pairs: R <= threshold iff some
     vertex has all others within the threshold, and then R is the least
     largest distance of such a vertex, so the filtration stops at the same
-    min(threshold, R). The vertices are relabelled in sweep order (by first
-    coordinate, stable), so that no pair spans more labels than the sweep
-    window and the graph's band table stays narrow; the diagram does not
+    min(threshold, R). The vertices are relabelled by their stable order
+    along one coordinate axis, the first one along which the kept pairs
+    span the fewest labels, so that the graph's band table stays narrow
+    (a cloud flat in x is ordered along y or z); the diagram does not
     depend on the labels.
     """
     params = RipsParams(max_dim, threshold)
     i, j, d = pairs_within(points, params.threshold)
     n = len(points)
     _check_dimension(max_dim, n)
-    label = np.empty(n, np.intp)
-    x = np.asarray(points, np.float64)[:, 0]
-    label[np.argsort(x, kind="stable")] = np.arange(n)
-    i, j = label[i], label[j]
-    i, j = np.minimum(i, j), np.maximum(i, j)
     eps = params.threshold
     full = np.bincount(np.concatenate((i, j)), minlength=n) == n - 1
     if full.any():
@@ -360,6 +357,12 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
         keep = d <= eps
         i, j, d = i[keep], j[keep], d[keep]
         del keep
+    # stable ranks along the first axis whose pairs span the fewest labels
+    label = min((np.argsort(np.argsort(x, kind="stable"))
+                 for x in np.asarray(points, np.float64).T),
+                key=lambda r: int(np.abs(r[i] - r[j]).max(initial=0)))
+    i, j = label[i], label[j]
+    i, j = np.minimum(i, j), np.maximum(i, j)
     g = _Graph(i, j, d, n, eps)
     del i, j, d  # g holds the pairs from here on
     return _diagram(g, max_dim)

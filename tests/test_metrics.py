@@ -29,6 +29,14 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
 
+    def test_memory_layout_changes_no_bit(self):
+        pts = np.random.default_rng(4).normal(size=(300, 3))
+        m = pairwise_distances(pts)
+        assert m.tobytes() == pairwise_distances(np.asfortranarray(pts)).tobytes()
+        i, j, d = pairs_within(pts[:, ::-1], math.inf)
+        assert np.array_equal(d.view(np.int64),
+                              pairwise_distances(pts[:, ::-1])[i, j].view(np.int64))
+
     def test_overflow_rejected(self):
         # finite coordinates whose squared difference overflows to inf
         with pytest.raises(ValueError, match=r"distance \(0,1\) is inf"):
@@ -49,6 +57,12 @@ def sweep_cloud(kind, seed):
         return rng.normal(size=(30, dim)) * 1e-6
     if kind == "large":
         return rng.normal(size=(30, dim)) * 1e6 + 1e9
+    if kind == "planar":
+        # one first coordinate for all: a sweep along it would see every pair
+        return np.column_stack([np.full(30, 0.5), rng.uniform(size=(30, dim))])
+    if kind == "identical":
+        # every pair at distance 0
+        return np.tile(rng.uniform(size=dim), (12, 1))
     # x differences whose squares underflow to zero: at threshold 0 all
     # ten pairs are kept, at distance 0
     return np.column_stack([np.arange(5) * 1e-200, np.zeros((5, dim - 1))])
@@ -59,12 +73,13 @@ def as_triples(i, j, d):
 
 
 class TestPairsWithin:
-    """The sweep keeps exactly the pairs the dense matrix holds within eps,
-    with the same distances bit for bit."""
+    """pairs_within keeps exactly the pairs the dense matrix holds within
+    eps, each once as i < j, with the same distances bit for bit."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("kind", ["uniform", "grid", "duplicates", "small",
-                                      "large", "underflow"])
+                                      "large", "underflow", "planar",
+                                      "identical"])
     @pytest.mark.parametrize("where", ["zero", "median", "below", "at", "max",
                                        "inf"])
     def test_matches_the_matrix(self, kind, seed, where):
@@ -75,7 +90,10 @@ class TestPairsWithin:
                "below": float(np.nextafter(radius, 0.0)), "at": radius,
                "max": float(m.max()), "inf": math.inf}[where]
         i, j = np.nonzero(np.triu(m <= eps, 1))
-        assert as_triples(*pairs_within(pts, eps)) == as_triples(i, j, m[i, j])
+        got = pairs_within(pts, eps)
+        assert as_triples(*got) == as_triples(i, j, m[i, j])
+        assert (got[0] < got[1]).all()
+        assert len(set(zip(got[0].tolist(), got[1].tolist()))) == len(got[0])
 
     def test_single_point(self):
         i, j, d = pairs_within(np.array([[1.0, 2.0]]), math.inf)

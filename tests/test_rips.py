@@ -367,9 +367,9 @@ class TestCloudPersistence:
     @pytest.mark.parametrize("seed", range(6))
     def test_graph_stops_where_the_matrix_entry_does(self, monkeypatch, seed):
         # a later stop changes no diagram, only the work: look at the graph.
-        # The points entry labels its vertices in sweep order.
+        # The points entry labels its vertices in their order along an axis.
         pts = seeded_cloud(seed, 9, grid=seed % 2 == 1)
-        sweep = np.argsort(pts[:, 0], kind="stable")
+        orders = [np.argsort(x, kind="stable") for x in pts.T]
         m = pairwise_distances(pts)
         r = enclosing_radius(m)
         graphs = []
@@ -381,8 +381,9 @@ class TestCloudPersistence:
             cloud_persistence(pts, 1, t)
             by_matrix, by_points = graphs[-2:]
             assert by_points.eps == by_matrix.eps == min(t, r)
-            assert (weighted_edges(by_points, sweep)
-                    == weighted_edges(by_matrix, np.arange(len(pts))))
+            assert any(weighted_edges(by_points, order)
+                       == weighted_edges(by_matrix, np.arange(len(pts)))
+                       for order in orders)
 
     def test_unit_square(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -396,7 +397,7 @@ class TestCloudPersistence:
 
 def noisy_curve(seed, n):
     """n points in shuffled order along three turns of a helix ten units
-    long in x, with Gaussian noise: in sweep order, each point's near
+    long in x, with Gaussian noise: in x order, each point's near
     neighbours are a few labels away."""
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 1.0, n)
@@ -409,8 +410,21 @@ def with_duplicates(pts):
     return np.concatenate([pts, pts[::9]])
 
 
+def axis_order(pts, m, eps):
+    """The stable order along the first axis along which the pairs within
+    eps span the fewest labels: the labels of cloud_persistence's graph."""
+    i, j = np.nonzero(np.triu(m <= eps, 1))
+
+    def span(order):
+        rank = np.argsort(order)
+        return int(np.abs(rank[i] - rank[j]).max(initial=0))
+
+    return min((np.argsort(x, kind="stable") for x in pts.T), key=span)
+
+
 class TestBandTable:
-    """cloud_persistence on clouds long in x, where the sweep window b is
+    """cloud_persistence on clouds long along one axis, in x or not, where
+    in the order along that axis the largest label span b of a pair is
     small against n and the graph's table is a band of 4b + 3 columns per
     vertex. Near the enclosing radius R the band cannot be taken: the
     vertex that reaches all others spans at least (n - 1) / 2 labels, so
@@ -425,6 +439,12 @@ class TestBandTable:
         "grid 40x3": lambda: np.argwhere(np.ones((40, 3))).astype(float),
         "grid 20x2x2 with duplicates":
             lambda: with_duplicates(np.argwhere(np.ones((20, 2, 2))).astype(float)),
+        # long in y or z, or flat in x: the band runs along another axis
+        "curve 150 long in y": lambda: noisy_curve(4, 150)[:, [1, 0, 2]],
+        "curve 150 long in z": lambda: noisy_curve(5, 150)[:, [1, 2, 0]],
+        "curve 120 at x = 0":
+            lambda: np.column_stack((np.zeros(120), noisy_curve(6, 120)[:, [0, 2]])),
+        "grid 3x2x40": lambda: np.argwhere(np.ones((3, 2, 40))).astype(float),
     }
 
     @staticmethod
@@ -449,8 +469,6 @@ class TestBandTable:
         pts = self.CLOUDS[cloud]()
         n = len(pts)
         m = pairwise_distances(pts)
-        sweep = np.argsort(pts[:, 0], kind="stable")
-        in_sweep = m[np.ix_(sweep, sweep)]
         graphs = []
         diagram = rips._diagram
         monkeypatch.setattr(rips, "_diagram",
@@ -467,7 +485,8 @@ class TestBandTable:
             d = cloud_persistence(pts, max_dim, t)
             g = graphs[-1]
             assert d == rips_persistence(m, max_dim, t), t
-            self.check_band(g, in_sweep)
+            order = axis_order(pts, m, g.eps)
+            self.check_band(g, m[np.ix_(order, order)])
             b = int(np.abs(g.nbr - np.repeat(np.arange(n), np.diff(g.ptr))).max())
             if t < r / 2:
                 # the band layout was taken
