@@ -15,9 +15,13 @@ at the vertex level, and every diameter is read in `_Graph.cofaces`:
 - `rips_persistence` computes the diagram directly: it stops at the
   enclosing radius, pairs H0 by union-find and H1 upwards by cohomology
   with clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
-  persistent (co)homology", 2011), on numpy arrays of vertex rows, and
-  builds a coboundary only for the few columns whose first pivot is
-  already owned, as Ripser does (Bauer, "Ripser", JACT 2021);
+  persistent (co)homology", 2011), on numpy arrays of vertex rows named
+  by exact int64 keys. The apparent pairs (Bauer, "Ripser", JACT 2021),
+  nearly every column, are decided in numpy one column at a time, as in
+  Ripser++ (Zhang, Xiao and Wang, SoCG 2020), and add no pair; a Python
+  loop visits the rest and builds a coboundary only for the few whose
+  first pivot is already owned. The top level is grown, cleared and
+  tested pass by pass, and never stored whole;
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
   pairs within the threshold, stopped at the enclosing radius.
@@ -31,8 +35,10 @@ paths share one input check.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -94,35 +100,34 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     """
     m = _checked(m, params.max_dimension)
     g = _matrix_graph(m, params.threshold)
-    entries = []
-    s, diam = g.vertices
+    entries, level = [], [g.vertices]
     for k in range(params.max_dimension + 2):
         if k:
-            s, diam = g.expand(s, diam)
-        # share one float per distinct scale of the level, not per entry
-        lengths = np.unique(diam)
-        scales = lengths.tolist()
-        for a in range(0, len(s), g.step):
-            at = np.searchsorted(lengths, diam[a:a + g.step]).tolist()
-            entries += zip(map(Simplex._canonical, s[a:a + g.step].tolist()),
+            level = [part for p in level for part in g.grow(*p)]
+        for s, diam in level:
+            # share one float per distinct scale of a part, not per entry
+            lengths = np.unique(diam)
+            scales = lengths.tolist()
+            at = np.searchsorted(lengths, diam).tolist()
+            entries += zip(map(Simplex._canonical, s.tolist()),
                            map(scales.__getitem__, at))
-    del s, diam
+    del level
     return Filtration(entries)
 
 
 def _clique_counts(m: np.ndarray, top: int, threshold: float) -> list[int]:
     """Simplices per dimension 0..top of build_rips(m, RipsParams(top - 1,
-    threshold)), with no Simplex made. Levels 0..top-1 grow from the vertex
-    level and are counted as stored; the top level is counted pass by pass
-    and never stored, so memory peaks at the level below."""
+    threshold)), with no Simplex made. Each level grows pass by pass from
+    the one below and is counted unsorted; the top level is never stored,
+    so memory peaks at the level below."""
     m = _checked(m, top - 1)
     g = _matrix_graph(m, threshold)
-    s, diam = g.vertices
-    counts = [len(s)]
-    for _ in range(1, top):
-        s, diam = g.expand(s, diam)
-        counts.append(len(s))
-    counts.append(sum(int(np.count_nonzero(grow)) for *_, grow in g.passes(s, diam)))
+    level, counts = [g.vertices], [len(m)]
+    for k in range(1, top + 1):
+        level = (part for p in level for part in g.grow(*p))
+        if k < top:
+            level = list(level)
+        counts.append(sum(len(s) for s, _ in level))
     return counts
 
 
@@ -172,6 +177,7 @@ class _Graph:
         self.table = np.full(n * width, np.inf)
         self.table[self.off[i] + j] = self.table[self.off[j] + i] = w
         self.eps = eps
+        self.span = b
         # simplices per numpy pass, so that no pass exceeds _CELLS cells
         self.step = max(1, _CELLS // max(1, int(np.diff(self.ptr).max())))
         self.vertices = v[:, None], np.zeros(n)
@@ -197,33 +203,28 @@ class _Graph:
             np.maximum(d, self.table[cells], out=d)
         return l, d
 
-    def passes(self, s: np.ndarray, diam: np.ndarray):
-        """Per pass over step rows part of s: part, its cofaces l and d, and
-        the mask of the cofaces grown from part as their face without their
-        largest vertex, so that each clique is made once."""
+    def grow(self, s: np.ndarray, diam: np.ndarray):
+        """Per pass over step rows part of s: the simplices one dimension up
+        grown from part, each from its face without its largest vertex so
+        that each clique is made once, and their diameters."""
         for a in range(0, len(s), self.step):
             part = s[a:a + self.step]
             l, d = self.cofaces(part, diam[a:a + self.step])
-            yield part, l, d, (l > part[:, -1:]) & (d < np.inf)
+            r, c = np.nonzero((l > part[:, -1:]) & (d < np.inf))
+            yield np.column_stack((part[r], l[r, c])), d[r, c]
 
-    def expand(self, s: np.ndarray,
-               diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The simplices one dimension up, sorted by (diameter, vertices)."""
-        grown, diams = [np.empty((0, s.shape[1] + 1), np.intp)], [diam[:0]]
-        for part, l, d, grow in self.passes(s, diam):
-            r, c = np.nonzero(grow)
-            grown.append(np.column_stack((part[r], l[r, c])))
-            diams.append(d[r, c])
-        s, diam = np.concatenate(grown), np.concatenate(diams)
-        del grown, diams  # the parts would double the level while it sorts
-        return _sorted(s, diam)
+    def keys(self, s: np.ndarray) -> np.ndarray:
+        """The _keys of rows s, simplices of this graph."""
+        return _keys(s.T, len(self.ptr) - 1, self.span)
 
-    def first_pivots(self, s: np.ndarray,
-                     diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each simplex's earliest coface: smallest diameter, then smallest
+    def first_pivots(self, s: np.ndarray, diam: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each simplex's earliest coface t: smallest diameter, then smallest
         added vertex, which among equal diameters is the lexicographically
-        smallest vertex tuple. Returns the coface rows and diameters, inf
-        where s has no coface."""
+        smallest vertex tuple. Returns the rows t, their diameters, inf
+        where s has no coface, and the mask of apparent pairs: s is t's
+        latest facet, the one that drops t's earliest vertex among the
+        facets of largest diameter, read from t's pairs in the table."""
         pd = np.full(len(s), np.inf)
         pl = np.zeros(len(s), np.intp)
         for a in range(0, len(s), self.step):
@@ -232,14 +233,21 @@ class _Graph:
                 j = d.argmin(axis=1)
                 rows = np.arange(len(j))
                 pd[a:a + len(j)], pl[a:a + len(j)] = d[rows, j], l[rows, j]
-        return np.sort(np.column_stack((s, pl)), axis=1), pd
+        t = np.sort(np.column_stack((s, pl)), axis=1)
+        w = {(u, v): self.table[self.off[t[:, u]] + t[:, v]]
+             for u, v in combinations(range(t.shape[1]), 2)}
+        facets = [np.max([x for uv, x in w.items() if p not in uv], axis=0)
+                  for p in range(t.shape[1])]
+        latest = np.choose(np.argmax(facets, axis=0), t.T)
+        return t, pd, (latest == pl) & (pd < np.inf)
 
-    def coboundary(self, s: tuple[int, ...], diam: float) -> set:
-        """The cofaces of s as a set of (diameter, vertex tuple)."""
+    def coboundary(self, s: list[int], diam: float) -> list:
+        """The cofaces of s as a sorted list of (diameter, key)."""
         l, d = self.cofaces(np.array([s]), np.array([diam]))
-        ok = d[0] < np.inf
-        return {(dd, tuple(sorted(s + (v,))))
-                for v, dd in zip(l[0][ok].tolist(), d[0][ok].tolist())}
+        ok = d < np.inf
+        n = len(self.ptr) - 1
+        return sorted((dd, _keys(sorted((*s, v)), n, self.span))
+                      for v, dd in zip(l[ok].tolist(), d[ok].tolist()))
 
 
 def _matrix_graph(m: np.ndarray, eps: float) -> _Graph:
@@ -255,17 +263,60 @@ def _matrix_graph(m: np.ndarray, eps: float) -> _Graph:
     return _Graph(i, j, m[i, j], n, eps)
 
 
-def _sorted(s: np.ndarray, diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s and diam in filtration order: by diameter, then vertex tuple."""
-    order = np.lexsort((*s.T[::-1], diam))
+def _sorted(s: np.ndarray, diam: np.ndarray,
+            key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s and diam in filtration order: by diameter, then key."""
+    order = np.lexsort((key, diam))
     return s[order], diam[order]
 
 
-def _h0(s: np.ndarray, diam: np.ndarray, n: int, pairs: list) -> set:
+def _keys(cols, n: int, b: int):
+    """Exact keys, in base b + 1 with digits v0 and each v_i - v0, of rows
+    of m ascending vertices below n that span at most b, given as their m
+    columns (int64 arrays, or the ints of one row): they sort like the
+    rows. n (b + 1)^(m - 1), above every key, must be < 2^63."""
+    if n * (b + 1) ** (len(cols) - 1) >= 1 << 63:
+        raise DimensionTooLarge(
+            f"keys of {len(cols)}-vertex simplices overflow int64 at {n} points")
+    key = cols[0]
+    for v in cols[1:]:
+        key = key * (b + 1) + (v - cols[0])
+    return key
+
+
+def _vertices(key: int, m: int, b: int) -> list[int]:
+    """The row of m vertices whose _keys entry is key."""
+    v0, *rest = (key // (b + 1) ** p for p in range(m - 1, -1, -1))
+    return [v0, *(v0 + r % (b + 1) for r in rest)]
+
+
+def _isin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each key in a is among the sorted keys b, by binary search:
+    np.isin would sort b again for every part of a level."""
+    if not len(b):
+        return np.zeros(len(a), bool)
+    return b.take(np.searchsorted(b, a), mode="clip") == a
+
+
+def _pivot(col: list):
+    """The least entry that the heap col holds an odd number of times, left
+    at col[0] once the pairs of equal entries before it are dropped; None
+    if there is none."""
+    while col:
+        low = heapq.heappop(col)
+        if not col or col[0] != low:
+            heapq.heappush(col, low)
+            return low
+        heapq.heappop(col)
+
+
+def _h0(g: _Graph, s: np.ndarray, diam: np.ndarray, pairs: list) -> np.ndarray:
     """Kruskal union-find over the edges in filtration order: each edge
     that merges two components kills one class born at 0. Returns the
-    merging edges, which need no H1 column. The edges are read in chunks
-    and the walk stops at a spanning tree, after n - 1 merges."""
+    sorted keys of the merging edges, which need no H1 column. The edges
+    are read in chunks and the walk stops at a spanning tree, after n - 1
+    merges."""
+    n = len(g.ptr) - 1
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -274,7 +325,7 @@ def _h0(s: np.ndarray, diam: np.ndarray, n: int, pairs: list) -> set:
             x = parent[x]
         return x
 
-    merging = set()
+    merging = []
     edges = ((e, d) for a in range(0, len(s), _CHUNK)
              for e, d in zip(s[a:a + _CHUNK].tolist(), diam[a:a + _CHUNK].tolist()))
     for (i, j), d in edges:
@@ -283,35 +334,64 @@ def _h0(s: np.ndarray, diam: np.ndarray, n: int, pairs: list) -> set:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[rj] = ri
-            merging.add((i, j))
+            merging.append((i, j))
             pairs.append((0, 0.0, d))
     pairs += [(0, 0.0, math.inf)] * (n - len(merging))
-    return merging
+    return np.sort(g.keys(np.array(merging, np.intp).reshape(-1, 2)))
 
 
-def _cohomology(k: int, g: _Graph, s: np.ndarray, diam: np.ndarray,
-                pairs: list) -> set:
-    """Reduce the coboundaries of the k-simplices s, given in decreasing
-    filtration order. A column owns its first pivot when no earlier column
-    does; only on a collision is its coboundary built and reduced. Returns
-    the pivots, the (k+1)-simplices that need no column."""
-    tops, pivot_diam = g.first_pivots(s, diam)
-    owner: dict[tuple[int, ...], int] = {}
-    reduced: dict[int, set] = {}
-    births = diam.tolist()
-    for j, (top, death) in enumerate(zip(map(tuple, tops.tolist()),
-                                         pivot_diam.tolist())):
-        if death < math.inf and top in owner:
-            col = g.coboundary(tuple(s[j].tolist()), births[j])
-            while col and (top := min(col)[1]) in owner:
-                i = owner[top]
-                col ^= reduced.get(i) or g.coboundary(tuple(s[i].tolist()), births[i])
-            death, top = min(col, default=(math.inf, None))
-            reduced[j] = col
+def _cohomology(k: int, g: _Graph, parts, cleared: np.ndarray,
+                pairs: list) -> np.ndarray:
+    """Reduce the coboundaries of the k-simplices in parts, (rows,
+    diameters) in any order, but those whose keys are in the sorted array
+    cleared, in decreasing filtration order. A column that is its first
+    pivot t's latest facet is apparent: no column before it holds t, so it
+    owns t, and for k >= 1 it dies at birth; only its key and t's are
+    kept. The rest are sorted and visited, and one whose first pivot is
+    owned builds its coboundary and reduces it on a heap. Parts are read
+    once, so a generator level is never stored whole. Returns the sorted
+    keys of the pivots, which need no column in dimension k + 1."""
+    found = []
+    for s, diam in parts:
+        key = g.keys(s)
+        s, diam, key = (x[~_isin(key, cleared)] for x in (s, diam, key))
+        t, pd, ap = g.first_pivots(s, diam)
+        t = g.keys(t)
+        found.append((t[ap], key[ap], *(x[~ap] for x in (s, diam, key, t, pd))))
+    if not found:
+        return cleared[:0]
+    tops, owners, s, diam, key, t, pd = map(np.concatenate, zip(*found))
+    del found
+    order = np.argsort(tops)
+    tops, owners = tops[order], owners[order]
+    # pivot key -> row, diameter and reduced column ([] if none) of its owner
+    owner: dict[int, tuple] = {}
+
+    def column(d: float, top: int) -> list | None:
+        """The column that owns the pivot (d, top), if one does."""
+        if top in owner:
+            row, birth, col = owner[top]
+            return col or g.coboundary(row, birth)
+        i = np.searchsorted(tops, top)
+        if i < len(tops) and tops[i] == top:  # its latest facet, at d
+            return g.coboundary(_vertices(int(owners[i]), k + 1, g.span), d)
+        return None
+
+    order = np.lexsort((key, diam))[::-1]
+    for row, birth, top, death, hit in zip(*(x[order].tolist() for x in (
+            s, diam, t, pd, _isin(t, tops)))):
+        col = []
+        if death < math.inf and (hit or top in owner):
+            col = g.coboundary(row, birth)
+            while (low := _pivot(col)) and (add := column(*low)):
+                for e in add:
+                    heapq.heappush(col, e)
+            death, top = low or (math.inf, None)
         if death < math.inf:  # else an essential class
-            owner[top] = j
-        pairs.append((k, births[j], death))
-    return set(owner)
+            owner[top] = row, birth, col
+        pairs.append((k, birth, death))
+    return np.sort(np.concatenate((tops, np.array(list(owner), np.int64))),
+                   kind="stable")
 
 
 def rips_persistence(m: np.ndarray, max_dim: int,
@@ -337,11 +417,12 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
     The enclosing radius R comes from those pairs: R <= threshold iff some
     vertex has all others within the threshold, and then R is the least
     largest distance of such a vertex, so the filtration stops at the same
-    min(threshold, R). The vertices are relabelled by their stable order
-    along one coordinate axis, the first one along which the kept pairs
-    span the fewest labels, so that the graph's band table stays narrow
-    (a cloud flat in x is ordered along y or z); the diagram does not
-    depend on the labels.
+    min(threshold, R). There every labelling spans at least (n - 1) / 2
+    labels, so the table is n x n and the input order is kept. Otherwise
+    the vertices are relabelled by their stable order along one coordinate
+    axis, the first one along which the kept pairs span the fewest labels,
+    so that the graph's band table stays narrow (a cloud flat in x is
+    ordered along y or z); the diagram does not depend on the labels.
     """
     params = RipsParams(max_dim, threshold)
     i, j, d = pairs_within(points, params.threshold)
@@ -357,12 +438,12 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
         keep = d <= eps
         i, j, d = i[keep], j[keep], d[keep]
         del keep
-    # stable ranks along the first axis whose pairs span the fewest labels
-    label = min((np.argsort(np.argsort(x, kind="stable"))
-                 for x in np.asarray(points, np.float64).T),
-                key=lambda r: int(np.abs(r[i] - r[j]).max(initial=0)))
-    i, j = label[i], label[j]
-    i, j = np.minimum(i, j), np.maximum(i, j)
+    else:  # stable ranks along the first axis whose pairs span fewest labels
+        label = min((np.argsort(np.argsort(x, kind="stable"))
+                     for x in np.asarray(points, np.float64).T),
+                    key=lambda r: int(np.abs(r[i] - r[j]).max(initial=0)))
+        i, j = label[i], label[j]
+        i, j = np.minimum(i, j), np.maximum(i, j)
     g = _Graph(i, j, d, n, eps)
     del i, j, d  # g holds the pairs from here on
     return _diagram(g, max_dim)
@@ -370,14 +451,19 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
 
 def _diagram(g: _Graph, max_dim: int) -> PersistenceDiagram:
     """H0 to H_max_dim of the clique filtration of g, by union-find and
-    cohomology with clearing."""
+    cohomology with clearing. The edges are sorted for H0; each level above
+    them is the parts that grow from the level below, unsorted, and the
+    top one is a generator."""
     pairs: list[tuple[int, float, float]] = []
-    s, diam = g.expand(*g.vertices)
-    cleared = _h0(s, diam, len(g.ptr) - 1, pairs)
+    s, diam = map(np.concatenate, zip(*g.grow(*g.vertices)))
+    s, diam = _sorted(s, diam, g.keys(s))
+    cleared = _h0(g, s, diam, pairs)
+    level = [(s, diam)]
     for k in range(1, max_dim + 1):
         if k > 1:
-            s, diam = g.expand(s, diam)
-        keep = np.array([t not in cleared for t in map(tuple, s.tolist())], bool)
-        cleared = _cohomology(k, g, s[keep][::-1], diam[keep][::-1], pairs)
+            level = (part for p in level for part in g.grow(*p))
+            if k < max_dim:
+                level = list(level)
+        cleared = _cohomology(k, g, level, cleared, pairs)
     return PersistenceDiagram(PersistencePair(k, b, d)
                               for k, b, d in pairs if b != d)

@@ -366,10 +366,9 @@ class TestCloudPersistence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_graph_stops_where_the_matrix_entry_does(self, monkeypatch, seed):
-        # a later stop changes no diagram, only the work: look at the graph.
-        # The points entry labels its vertices in their order along an axis.
+        # a later stop changes no diagram, only the work: look at the graph
+        # in the labels of the points entry
         pts = seeded_cloud(seed, 9, grid=seed % 2 == 1)
-        orders = [np.argsort(x, kind="stable") for x in pts.T]
         m = pairwise_distances(pts)
         r = enclosing_radius(m)
         graphs = []
@@ -381,9 +380,8 @@ class TestCloudPersistence:
             cloud_persistence(pts, 1, t)
             by_matrix, by_points = graphs[-2:]
             assert by_points.eps == by_matrix.eps == min(t, r)
-            assert any(weighted_edges(by_points, order)
-                       == weighted_edges(by_matrix, np.arange(len(pts)))
-                       for order in orders)
+            assert (weighted_edges(by_points, axis_order(pts, m, by_points.eps))
+                    == weighted_edges(by_matrix, np.arange(len(pts))))
 
     def test_unit_square(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -411,8 +409,11 @@ def with_duplicates(pts):
 
 
 def axis_order(pts, m, eps):
-    """The stable order along the first axis along which the pairs within
-    eps span the fewest labels: the labels of cloud_persistence's graph."""
+    """The labels of cloud_persistence's graph: the input order when some
+    point has all others within eps, else the stable order along the first
+    axis along which the pairs within eps span the fewest labels."""
+    if (m <= eps).all(axis=1).any():
+        return np.arange(len(pts))
     i, j = np.nonzero(np.triu(m <= eps, 1))
 
     def span(order):
@@ -495,3 +496,95 @@ class TestBandTable:
                 assert d == reference_diagram(m, max_dim, t), t
             else:
                 assert g.table.size == n * n
+
+
+class TestKeys:
+    """rips._keys names a row of ascending vertices by one int64 that sorts
+    like the row, exactly up to its bound n (b + 1)^(m - 1) < 2^63."""
+
+    @staticmethod
+    def rows(n, b, m):
+        """The rows of m ascending vertices below n spanning at most b with
+        the smallest and the largest key, then 400 random ones."""
+        rng = np.random.default_rng(m)
+        out = [list(range(m)), list(range(n - m, n))]
+        for v0 in rng.integers(0, n - m, 400).tolist():
+            up = rng.choice(min(b, n - 1 - v0), m - 1, replace=False)
+            out.append([v0, *sorted((v0 + 1 + up).tolist())])
+        return np.array(out, dtype=np.int64)
+
+    @pytest.mark.parametrize("m, b", [(2, 2**31 - 1), (3, 2**20 - 1), (4, 1000),
+                                      (5, 110), (5, 6000)])
+    def test_exact_and_ordered_at_the_bound(self, m, b):
+        n = ((1 << 63) - 1) // (b + 1) ** (m - 1)
+        assert n * (b + 1) ** (m - 1) < 2**63 <= (n + 1) * (b + 1) ** (m - 1)
+        s = self.rows(n, b, m)
+        keys = rips._keys(s.T, n, b)
+        exact = [sum((v - r[0] if i else v) * (b + 1) ** (m - 1 - i)
+                     for i, v in enumerate(r)) for r in s.tolist()]
+        assert keys.tolist() == exact
+        assert [rips._keys(r, n, b) for r in s.tolist()] == exact  # one row
+        assert max(exact) == exact[1] >= 2**63 - (m + 1) * (b + 1) ** (m - 1)
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              np.lexsort(s.T[::-1]))
+        assert [rips._vertices(k, m, b) for k in exact] == s.tolist()
+        with pytest.raises(DimensionTooLarge):
+            rips._keys(s.T, n + 1, b)
+
+
+def grid(*shape):
+    return np.argwhere(np.ones(shape)).astype(float)
+
+
+class TestApparentPairs:
+    """The engine decides in numpy which columns are apparent pairs, each
+    its first pivot's latest facet, and adds no pair for them."""
+
+    SHAPES = {
+        "uniform": lambda seed, n: seeded_cloud(seed, n),
+        "integer grid": lambda seed, n: seeded_cloud(seed, n, grid=True),
+        "half duplicated": lambda seed, n: np.concatenate(
+            [seeded_cloud(seed, n), seeded_cloud(seed, n)[:n // 2]]),
+        "curve": lambda seed, n: noisy_curve(seed, n),
+        "curve long in y": lambda seed, n: noisy_curve(seed, n)[:, [1, 0, 2]],
+        "curve long in z": lambda seed, n: noisy_curve(seed, n)[:, [1, 2, 0]],
+        "curve at x = 0": lambda seed, n: np.column_stack(
+            (np.zeros(n), noisy_curve(seed, n)[:, [0, 2]])),
+        "grid kx3": lambda seed, n: grid(n // 3 + 2, 3),
+        "grid 3x2xk": lambda seed, n: grid(3, 2, n // 6 + 2),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 12),
+           shape=st.sampled_from(sorted(SHAPES)), max_dim=st.integers(1, 3),
+           scale=st.sampled_from(["near", "below R", "at R", "above R", "inf"]))
+    def test_zero_persistence_and_equal_diagrams(self, seed, n, shape, max_dim,
+                                                 scale):
+        pts = self.SHAPES[shape](seed, n)
+        m = pairwise_distances(pts)
+        max_dim = min(max_dim, len(pts) - 2)
+        r = enclosing_radius(m)
+        # near: about two neighbours per point
+        t = {"near": float(np.sort(m[np.triu_indices(len(pts), 1)])[len(pts)]),
+             "below R": float(np.nextafter(r, 0.0)), "at R": r,
+             "above R": float(np.nextafter(r, math.inf)), "inf": math.inf}[scale]
+        seen = []
+        first_pivots = _Graph.first_pivots
+
+        def record(g, s, diam):
+            out = first_pivots(g, s, diam)
+            seen.append((s, diam, *out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Graph, "first_pivots", record)
+            d = rips_persistence(m, max_dim, t)
+        for s, diam, tops, pd, apparent in seen:
+            assert np.array_equal(diam[apparent], pd[apparent])
+            for row, top in zip(s[apparent].tolist(), tops[apparent].tolist()):
+                # the latest facet by (diameter, vertex tuple), read from m
+                facets = [top[:p] + top[p + 1:] for p in range(len(top))]
+                assert row == max(facets, key=lambda f: (
+                    max(m[u, v] for u in f for v in f), f))
+        assert d == reference_diagram(m, max_dim, t)
+        assert cloud_persistence(pts, max_dim, t) == d
