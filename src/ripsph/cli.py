@@ -9,12 +9,10 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .core import PersistencePair
 from .errors import DimensionTooLarge, RipsphError
 from .ingestion import load_csv, parse_pdb, write_csv
 from .metrics import pairwise_distances, validate_metric
@@ -43,14 +41,6 @@ def _load_points(path: str, fmt: str | None, chain: str | None) -> np.ndarray:
     return load_csv(text)
 
 
-def _feature_counts(pairs: Iterable[PersistencePair], max_dim: int) -> tuple[int, ...]:
-    counts = [0] * (max_dim + 1)
-    for p in pairs:
-        if p.dimension <= max_dim:
-            counts[p.dimension] += 1
-    return tuple(counts)
-
-
 def _check_config(args: argparse.Namespace) -> None:
     """Reject a bad configuration of any subcommand before its input is
     read or its output written. NaN fails every comparison, and a negative
@@ -77,7 +67,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         Path(args.barcode_svg).write_text(render_barcode_svg(significant, RenderOptions()))
     if args.diagram_svg:
         Path(args.diagram_svg).write_text(render_diagram_svg(significant, RenderOptions()))
-    table = write_betti_table(_feature_counts(significant, args.max_dimension))
+    counts = np.bincount(significant.dims, minlength=args.max_dimension + 1)
+    table = write_betti_table(tuple(counts.tolist()))
     if args.betti_table:
         Path(args.betti_table).write_text(table)
     print(table, end="")

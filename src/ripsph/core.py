@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import InvalidFiltration
 
 
@@ -225,24 +227,63 @@ class PersistencePair:
         return math.isinf(self.death)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PersistenceDiagram:
-    """Multiset of persistence pairs, kept sorted by (dim, birth, death)."""
+    """Multiset of persistence pairs as three read-only numpy columns, dims
+    (intp), births and deaths (float64), sorted by (dim, birth, death).
+    Iteration, pairs and in_dimension build PersistencePair objects on
+    demand; the engine and every output read the columns."""
 
-    pairs: tuple[PersistencePair, ...]
+    dims: np.ndarray
+    births: np.ndarray
+    deaths: np.ndarray
 
-    def __init__(self, pairs: Iterable[PersistencePair]):
-        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
+    def __new__(cls, pairs: Iterable[PersistencePair]) -> "PersistenceDiagram":
+        return cls._columns(*np.array([(p.dimension, p.birth, p.death) for p in pairs],
+                                      float).reshape(-1, 3).T)
+
+    @classmethod
+    def _columns(cls, k, b, d) -> "PersistenceDiagram":
+        """Unchecked constructor from the columns of valid pairs, in any
+        order; the diagram holds sorted read-only copies."""
+        self = object.__new__(cls)
+        k, b, d = np.asarray(k, np.intp), np.asarray(b, float), np.asarray(d, float)
+        order = np.lexsort((d, b, k))
+        for name, col in zip(_COLUMNS, (k[order], b[order], d[order])):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        return self
+
+    @property
+    def pairs(self) -> tuple[PersistencePair, ...]:
+        return tuple(map(PersistencePair, self.dims.tolist(), self.births.tolist(),
+                         self.deaths.tolist()))
 
     def in_dimension(self, k: int) -> list[PersistencePair]:
         return [p for p in self.pairs if p.dimension == k]
 
     @property
     def max_dimension(self) -> int:
-        return max((p.dimension for p in self.pairs), default=-1)
+        return int(self.dims.max(initial=-1))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.dims)
 
     def __iter__(self) -> Iterator[PersistencePair]:
         return iter(self.pairs)
+
+    def _key(self) -> tuple[bytes, ...]:
+        # + 0 turns -0.0 into 0.0, which compares equal to it
+        return tuple((getattr(self, c) + 0).tobytes() for c in _COLUMNS)
+
+    def __eq__(self, other):
+        return isinstance(other, PersistenceDiagram) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # unpickled arrays would be writeable
+        return PersistenceDiagram._columns, (self.dims, self.births, self.deaths)
+
+
+_COLUMNS = ("dims", "births", "deaths")

@@ -33,11 +33,12 @@ from .core import PersistenceDiagram
 
 
 def _split(d: PersistenceDiagram, dim: int) -> tuple[np.ndarray, list[float]]:
-    pairs = d.in_dimension(dim)
-    finite = np.array([(p.birth, p.death) for p in pairs if not p.is_essential],
-                      dtype=np.float64).reshape(-1, 2)
-    essential = sorted(p.birth for p in pairs if p.is_essential)
-    return finite, essential
+    """The finite (birth, death) points of dimension dim as rows, and the
+    essential births in ascending order, as the diagram sorts them."""
+    essential = np.isinf(d.deaths)
+    finite = (d.dims == dim) & ~essential
+    return (np.column_stack((d.births[finite], d.deaths[finite])),
+            d.births[(d.dims == dim) & essential].tolist())
 
 
 def _blocks(a: PersistenceDiagram, b: PersistenceDiagram, dim: int

@@ -8,12 +8,15 @@ yields the same pairing (Chen and Kerber, "Persistent homology computation
 with a twist", 2011). Rips filtrations of point clouds go through
 `rips.rips_persistence` instead, which never lists their simplices; this
 path stays their referee in tests.
+Diagrams are filtered, counted, written and read as numpy columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import IO, Union
+
+import numpy as np
 
 from .core import Filtration, PersistenceDiagram, PersistencePair
 from .errors import RipsphError
@@ -90,50 +93,64 @@ def betti_at_scale(d: PersistenceDiagram, s: float,
         raise ValueError("scale must not be NaN")
     if max_dim is None:
         max_dim = max(d.max_dimension, 0)
-    betti = [0] * (max_dim + 1)
-    for p in d:
-        if p.dimension <= max_dim and p.birth <= s and (s < p.death or p.is_essential):
-            betti[p.dimension] += 1
-    return tuple(betti)
+    alive = ((d.dims <= max_dim) & (d.births <= s)
+             & ((s < d.deaths) | np.isinf(d.deaths)))
+    return tuple(np.bincount(d.dims[alive], minlength=max_dim + 1).tolist())
 
 
 def significant_features(d: PersistenceDiagram,
                          min_persistence: float) -> PersistenceDiagram:
-    """Drop pairs of persistence below the threshold; essential classes
-    always survive."""
+    """Drop pairs of persistence below the threshold; essential classes,
+    of persistence inf, always survive."""
     if not min_persistence >= 0:  # also rejects NaN
         raise ValueError("min_persistence must be >= 0")
-    return PersistenceDiagram(
-        p for p in d if p.is_essential or p.persistence >= min_persistence)
+    keep = d.deaths - d.births >= min_persistence
+    return PersistenceDiagram._columns(d.dims[keep], d.births[keep], d.deaths[keep])
 
 
 def write_diagram_csv(d: PersistenceDiagram) -> str:
-    """CSV with header dim,birth,death; death 'inf' for essential classes."""
-    lines = ["dim,birth,death"]
-    for p in d.pairs:  # already sorted by (dim, birth, death)
-        death = "inf" if p.is_essential else repr(p.death)
-        lines.append(f"{p.dimension},{p.birth!r},{death}")
-    return "\n".join(lines) + "\n"
+    """CSV with header dim,birth,death; death 'inf' for essential classes.
+    Scales are written as repr(float), which reads back exactly."""
+    rows = [f"{k},{b!r},{e!r}" for k, b, e in zip(
+        d.dims.tolist(), d.births.tolist(), d.deaths.tolist())]
+    return "\n".join(["dim,birth,death", *rows]) + "\n"
+
+
+def _check_row(lineno: int, line: str) -> None:
+    """Raise the error of one body line of a diagram CSV, if it has one."""
+    fields = line.split(",")
+    if len(fields) != 3:
+        raise RipsphError(f"line {lineno}: expected 3 fields")
+    try:
+        dim, birth, death = np.intp(int(fields[0])), float(fields[1]), float(fields[2])
+    except (ValueError, OverflowError):
+        raise RipsphError(f"line {lineno}: unparseable pair") from None
+    try:
+        PersistencePair(dim, birth, death)
+    except ValueError as exc:
+        raise RipsphError(f"line {lineno}: {exc}") from None
 
 
 def read_diagram_csv(source: Union[str, IO]) -> PersistenceDiagram:
+    """The diagram of a CSV as write_diagram_csv writes it. Blank lines are
+    skipped but counted: an error names the first bad physical line."""
     lines = [(n, ln) for n, ln in enumerate(_as_text(source).splitlines(), start=1)
              if ln.strip()]
     if not lines or lines[0][1].strip() != "dim,birth,death":
         raise RipsphError("diagram CSV must start with header 'dim,birth,death'")
-    pairs = []
-    for lineno, line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise RipsphError(f"line {lineno}: expected 3 fields")
-        try:
-            dim = int(fields[0])
-            birth = float(fields[1])
-            death = float(fields[2])
-        except ValueError:
-            raise RipsphError(f"line {lineno}: unparseable pair") from None
-        try:
-            pairs.append(PersistencePair(dim, birth, death))
-        except ValueError as exc:
-            raise RipsphError(f"line {lineno}: {exc}") from None
-    return PersistenceDiagram(pairs)
+    rows = [ln.split(",") for _, ln in lines[1:]]
+    try:
+        if any(len(r) != 3 for r in rows):
+            raise ValueError
+        k, b, d = zip(*rows) if rows else ((), (), ())
+        dims = np.array(list(map(int, k)), np.intp)
+        births = np.array(list(map(float, b)))
+        deaths = np.array(list(map(float, d)))
+        # the checks of PersistencePair; NaN fails deaths >= births
+        if not ((dims >= 0) & np.isfinite(births) & (deaths >= births)).all():
+            raise ValueError
+    except (ValueError, OverflowError):
+        for lineno, line in lines[1:]:
+            _check_row(lineno, line)
+        raise
+    return PersistenceDiagram._columns(dims, births, deaths)

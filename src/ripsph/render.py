@@ -2,11 +2,15 @@
 
 Output is plain SVG 1.1 built by string assembly: no plotting dependency,
 byte-identical across runs for identical inputs, diff-able in tests.
+Every coordinate is written with 6 significant digits ("%.6g"); those of
+the pairs are computed a column at a time from the diagram's columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import PersistenceDiagram
 from .errors import EmptyDiagram
@@ -24,13 +28,8 @@ class RenderOptions:
     margin: int = 40
 
 
-def _fmt(x: float) -> str:
-    """Fixed 6-significant-digit decimal formatting, no exponent surprises."""
-    return format(float(x), ".6g")
-
-
-def _color(o: RenderOptions, dim: int) -> str:
-    return o.colors[dim % len(o.colors)]
+def _colors(o: RenderOptions, dims: np.ndarray) -> list[str]:
+    return [o.colors[k % len(o.colors)] for k in dims.tolist()]
 
 
 _ARROW_DEF = ('<defs><marker id="arrow" markerWidth="8" markerHeight="8" '
@@ -40,23 +39,25 @@ _ARROW_DEF = ('<defs><marker id="arrow" markerWidth="8" markerHeight="8" '
 
 def _frame(d: PersistenceDiagram, o: RenderOptions) -> tuple:
     """Set-up shared by both plots: the cap standing in for infinity, the
-    scale -> x map, the inner height, and the opening elements (svg tag,
-    background, x-axis).
+    scale -> x map (of a scalar or a column), the inner height, and the
+    opening elements (svg tag, background, x-axis).
 
-    The cap lies beyond every finite birth and death (by default 1.05 times
-    the largest, or 1.0 when that is 0), so it bounds both axes and an
-    essential class always runs rightwards, or upwards, to it.
+    The cap is positive and lies beyond every finite birth and death (by
+    default 1.05 times the largest, or 1.0 when that is 0), so it bounds
+    both axes and an essential class always runs rightwards, or upwards, to
+    it.
     """
     if len(d) == 0:
         raise EmptyDiagram("cannot render an empty diagram")
     # death >= birth, so a pair's largest finite value is its death if finite
-    top = max(p.birth if p.is_essential else p.death for p in d)
+    top = float(np.where(np.isinf(d.deaths), d.births, d.deaths).max())
     cap = o.cap if o.cap is not None else (1.05 * top if top else 1.0)
-    if not top < cap < math.inf:  # also rejects NaN
-        raise ValueError("cap must be finite and exceed every finite birth and death")
+    if not max(top, 0.0) < cap < math.inf:  # also rejects NaN
+        raise ValueError("cap must be finite, positive and exceed every finite "
+                         "birth and death")
     inner_w = o.width - 2 * o.margin
 
-    def x_of(v: float) -> float:
+    def x_of(v):
         return o.margin + inner_w * v / cap
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -75,16 +76,15 @@ def render_barcode_svg(d: PersistenceDiagram, o: RenderOptions = RenderOptions()
     """
     cap, x_of, inner_h, parts = _frame(d, o)
     parts.insert(1, _ARROW_DEF)
-    step = inner_h / len(d)
-    for i, p in enumerate(d):  # sorted: dimensions grouped, then birth/death
-        y = o.margin + step * (i + 0.5)
-        x1 = x_of(p.birth)
-        x2 = x_of(cap if p.is_essential else p.death)
-        marker = ' marker-end="url(#arrow)"' if p.is_essential else ""
-        parts.append(
-            f'<line class="bar dim{p.dimension}" x1="{_fmt(x1)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y)}" stroke="{_color(o, p.dimension)}" '
-            f'stroke-width="3"{marker}/>')
+    essential = np.isinf(d.deaths)
+    # bars in diagram order: dimensions grouped, then birth/death
+    y = (o.margin + inner_h / len(d) * (np.arange(len(d)) + 0.5)).tolist()
+    bar = ('<line class="bar dim%d" x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g" '
+           'stroke="%s" stroke-width="3"%s/>')
+    parts += map(bar.__mod__, zip(
+        d.dims.tolist(), x_of(d.births).tolist(), y,
+        x_of(np.where(essential, cap, d.deaths)).tolist(), y, _colors(o, d.dims),
+        np.where(essential, ' marker-end="url(#arrow)"', "").tolist()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -94,32 +94,30 @@ def render_diagram_svg(d: PersistenceDiagram, o: RenderOptions = RenderOptions()
     on the cap line with a distinct (square) marker."""
     cap, x_of, inner_h, parts = _frame(d, o)
 
-    def y_of(v: float) -> float:
+    def y_of(v):
         return o.height - o.margin - inner_h * v / cap
 
     parts.append(f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
                  f'x2="{o.margin}" y2="{o.margin}" stroke="black"/>')
     if o.draw_diagonal:
         parts.append(
-            f'<line class="diagonal" x1="{_fmt(x_of(0.0))}" y1="{_fmt(y_of(0.0))}" '
-            f'x2="{_fmt(x_of(cap))}" y2="{_fmt(y_of(cap))}" '
+            f'<line class="diagonal" x1="{x_of(0.0):.6g}" y1="{y_of(0.0):.6g}" '
+            f'x2="{x_of(cap):.6g}" y2="{y_of(cap):.6g}" '
             f'stroke="gray" stroke-dasharray="4 3"/>')
     parts.append(
-        f'<line class="cap" x1="{_fmt(x_of(0.0))}" y1="{_fmt(y_of(cap))}" '
-        f'x2="{_fmt(x_of(cap))}" y2="{_fmt(y_of(cap))}" '
+        f'<line class="cap" x1="{x_of(0.0):.6g}" y1="{y_of(cap):.6g}" '
+        f'x2="{x_of(cap):.6g}" y2="{y_of(cap):.6g}" '
         f'stroke="lightgray" stroke-dasharray="2 2"/>')
-    for p in d:
-        color = _color(o, p.dimension)
-        if p.is_essential:
-            x, y = x_of(p.birth), y_of(cap)
-            parts.append(
-                f'<rect class="point dim{p.dimension} essential" '
-                f'x="{_fmt(x - 4)}" y="{_fmt(y - 4)}" width="8" height="8" '
-                f'fill="{color}"/>')
-        else:
-            parts.append(
-                f'<circle class="point dim{p.dimension}" cx="{_fmt(x_of(p.birth))}" '
-                f'cy="{_fmt(y_of(p.death))}" r="4" fill="{color}"/>')
+    essential = np.isinf(d.deaths)
+    x, y = x_of(d.births), y_of(np.where(essential, cap, d.deaths))
+    # an essential class is an 8 x 8 square centred on its point
+    point = np.where(essential,
+                     '<rect class="point dim%d essential" x="%.6g" y="%.6g" '
+                     'width="8" height="8" fill="%s"/>',
+                     '<circle class="point dim%d" cx="%.6g" cy="%.6g" r="4" fill="%s"/>')
+    parts += map(str.__mod__, point.tolist(), zip(
+        d.dims.tolist(), np.where(essential, x - 4, x).tolist(),
+        np.where(essential, y - 4, y).tolist(), _colors(o, d.dims)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from ripsph.core import Filtration
+from ripsph.errors import EmptyDiagram
 from ripsph.metrics import TRIANGLE_TOL
 
 
@@ -190,3 +191,115 @@ def exhaustive_wasserstein(a, b, ea=(), eb=()):
     ess = sum(abs(x - y) for x, y in zip(sorted(ea), sorted(eb)))
     best = min((s for _, s in exhaustive_matching_costs(a, b)), default=0.0)
     return ess + best
+
+
+def per_pair_diagram_csv(d) -> str:
+    """write_diagram_csv one PersistencePair at a time."""
+    lines = ["dim,birth,death"]
+    for p in d:
+        death = "inf" if p.is_essential else repr(p.death)
+        lines.append(f"{p.dimension},{p.birth!r},{death}")
+    return "\n".join(lines) + "\n"
+
+
+def per_pair_betti_at_scale(d, s: float, max_dim: int | None = None) -> tuple[int, ...]:
+    """betti_at_scale one PersistencePair at a time."""
+    if math.isnan(s):
+        raise ValueError("scale must not be NaN")
+    if max_dim is None:
+        max_dim = max((p.dimension for p in d), default=0)
+    betti = [0] * (max_dim + 1)
+    for p in d:
+        if p.dimension <= max_dim and p.birth <= s and (s < p.death or p.is_essential):
+            betti[p.dimension] += 1
+    return tuple(betti)
+
+
+def per_pair_significant_features(d, min_persistence: float) -> list:
+    """The PersistencePairs that significant_features keeps, in order."""
+    if not min_persistence >= 0:
+        raise ValueError("min_persistence must be >= 0")
+    return [p for p in d if p.is_essential or p.persistence >= min_persistence]
+
+
+def _per_pair_frame(d, o):
+    """The set-up of both per-pair renderers: cap, x map, inner height and
+    opening elements."""
+    if len(d) == 0:
+        raise EmptyDiagram("cannot render an empty diagram")
+    top = max(p.birth if p.is_essential else p.death for p in d)
+    cap = o.cap if o.cap is not None else (1.05 * top if top else 1.0)
+    if not max(top, 0.0) < cap < math.inf:
+        raise ValueError("cap must be finite, positive and exceed every finite "
+                         "birth and death")
+    inner_w = o.width - 2 * o.margin
+
+    def x_of(v):
+        return o.margin + inner_w * v / cap
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{o.width}" height="{o.height}" '
+             f'viewBox="0 0 {o.width} {o.height}">',
+             f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="white"/>',
+             f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
+             f'x2="{o.width - o.margin}" y2="{o.height - o.margin}" stroke="black"/>']
+    return cap, x_of, o.height - 2 * o.margin, parts
+
+
+def _fmt6(x) -> str:
+    return format(float(x), ".6g")
+
+
+def per_pair_barcode_svg(d, o) -> str:
+    """render_barcode_svg one PersistencePair at a time."""
+    cap, x_of, inner_h, parts = _per_pair_frame(d, o)
+    parts.insert(1, '<defs><marker id="arrow" markerWidth="8" markerHeight="8" '
+                    'refX="6" refY="3" orient="auto">'
+                    '<path d="M0,0 L6,3 L0,6 z"/></marker></defs>')
+    step = inner_h / len(d)
+    for i, p in enumerate(d):
+        y = o.margin + step * (i + 0.5)
+        x1 = x_of(p.birth)
+        x2 = x_of(cap if p.is_essential else p.death)
+        marker = ' marker-end="url(#arrow)"' if p.is_essential else ""
+        parts.append(
+            f'<line class="bar dim{p.dimension}" x1="{_fmt6(x1)}" y1="{_fmt6(y)}" '
+            f'x2="{_fmt6(x2)}" y2="{_fmt6(y)}" '
+            f'stroke="{o.colors[p.dimension % len(o.colors)]}" '
+            f'stroke-width="3"{marker}/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def per_pair_diagram_svg(d, o) -> str:
+    """render_diagram_svg one PersistencePair at a time."""
+    cap, x_of, inner_h, parts = _per_pair_frame(d, o)
+
+    def y_of(v):
+        return o.height - o.margin - inner_h * v / cap
+
+    parts.append(f'<line x1="{o.margin}" y1="{o.height - o.margin}" '
+                 f'x2="{o.margin}" y2="{o.margin}" stroke="black"/>')
+    if o.draw_diagonal:
+        parts.append(
+            f'<line class="diagonal" x1="{_fmt6(x_of(0.0))}" y1="{_fmt6(y_of(0.0))}" '
+            f'x2="{_fmt6(x_of(cap))}" y2="{_fmt6(y_of(cap))}" '
+            f'stroke="gray" stroke-dasharray="4 3"/>')
+    parts.append(
+        f'<line class="cap" x1="{_fmt6(x_of(0.0))}" y1="{_fmt6(y_of(cap))}" '
+        f'x2="{_fmt6(x_of(cap))}" y2="{_fmt6(y_of(cap))}" '
+        f'stroke="lightgray" stroke-dasharray="2 2"/>')
+    for p in d:
+        color = o.colors[p.dimension % len(o.colors)]
+        if p.is_essential:
+            x, y = x_of(p.birth), y_of(cap)
+            parts.append(
+                f'<rect class="point dim{p.dimension} essential" '
+                f'x="{_fmt6(x - 4)}" y="{_fmt6(y - 4)}" width="8" height="8" '
+                f'fill="{color}"/>')
+        else:
+            parts.append(
+                f'<circle class="point dim{p.dimension}" cx="{_fmt6(x_of(p.birth))}" '
+                f'cy="{_fmt6(y_of(p.death))}" r="4" fill="{color}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

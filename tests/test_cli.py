@@ -5,6 +5,7 @@ import pytest
 
 from ripsph import cli
 from ripsph.cli import main
+from ripsph.core import PersistencePair
 from ripsph.homology import betti_numbers
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import betti_at_scale, persistence_diagram, read_diagram_csv
@@ -321,3 +322,24 @@ class TestValidate:
         f = build_rips(m, RipsParams(2, float(threshold)))
         expected = betti_numbers(complex_at_scale(f, float(threshold)), 2)
         assert tuple(int(b) for b in table.split()) == expected
+
+
+def test_no_pair_objects_on_the_command_paths(tmp_path, capsys, monkeypatch):
+    # a diagram stays three numpy columns from the engine to every output:
+    # run, validate and distance make no PersistencePair
+    path, _ = circle_csv(tmp_path, n=12)
+    made = []
+    check = PersistencePair.__post_init__
+    monkeypatch.setattr(PersistencePair, "__post_init__",
+                        lambda p: made.append(p) or check(p))
+    out = tmp_path / "d.csv"
+    assert main(["run", str(path), "--max-dimension", "1", "--diagram-csv", str(out),
+                 "--barcode-svg", str(tmp_path / "b.svg"),
+                 "--diagram-svg", str(tmp_path / "p.svg"), "--scale", "0.6"]) == 0
+    assert main(["validate", str(path), "--threshold", "1.5",
+                 "--max-dimension", "1"]) == 0
+    for kind in ("bottleneck", "wasserstein"):
+        assert main(["distance", str(out), str(out), "--kind", kind]) == 0
+    assert made == []
+    # iterating a diagram is what makes them
+    assert len(list(read_diagram_csv(out.read_text()))) == len(made) == 13

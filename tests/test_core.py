@@ -1,12 +1,13 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ripsph.core import (Chain, Filtration, PersistencePair, Simplex,
-                         SimplicialComplex, filtration_sort_key,
+from ripsph.core import (Chain, Filtration, PersistenceDiagram,
+                         PersistencePair, Simplex, SimplicialComplex, filtration_sort_key,
                          simplex_sort_key, validate_complex)
 
 vertex_sets = st.sets(st.integers(min_value=0, max_value=30), min_size=1,
@@ -248,3 +249,40 @@ class TestPersistencePair:
     def test_essential(self):
         p = PersistencePair(0, 0.0)
         assert p.is_essential and math.isinf(p.persistence)
+
+
+class TestPersistenceDiagram:
+    def test_sorted_read_only_columns(self):
+        d = PersistenceDiagram([PersistencePair(1, 0.5, 2.0), PersistencePair(0, 0.0),
+                                PersistencePair(0, 0.0, 1.0)])
+        assert d.dims.tolist() == [0, 0, 1]
+        assert d.births.tolist() == [0.0, 0.0, 0.5]
+        assert d.deaths.tolist() == [1.0, math.inf, 2.0]
+        assert d.dims.dtype == np.intp and d.births.dtype == d.deaths.dtype == np.float64
+        for col in (d.dims, d.births, d.deaths):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 7
+        with pytest.raises(AttributeError):
+            d.births = np.zeros(3)
+
+    def test_unchecked_constructor_copies_its_columns(self):
+        k, b = np.array([1, 0]), np.array([0.0, 0.5])
+        d = PersistenceDiagram._columns(k, b, b + 1.0)
+        k[0] = b[0] = 9
+        assert d == PersistenceDiagram([PersistencePair(0, 0.5, 1.5),
+                                        PersistencePair(1, 0.0, 1.0)])
+        assert d.dims.flags.writeable is False
+
+    def test_pairs_equality_hash_and_pickle(self):
+        pairs = [PersistencePair(0, -0.0, 1.0), PersistencePair(1, 0.0)]
+        a = PersistenceDiagram(pairs)
+        b = PersistenceDiagram([PersistencePair(1, 0.0), PersistencePair(0, 0.0, 1.0)])
+        assert a.pairs == tuple(sorted(pairs)) == tuple(a)
+        assert a.in_dimension(1) == [PersistencePair(1, 0.0)]
+        assert a == b and hash(a) == hash(b)
+        assert a != PersistenceDiagram(pairs[:1]) and a != pairs
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and not back.births.flags.writeable
+        assert len(PersistenceDiagram([])) == 0
+        assert PersistenceDiagram([]).max_dimension == -1 and a.max_dimension == 1

@@ -219,7 +219,24 @@ class TestDiagramCsv:
         ("dim,birth,death\n\n1,0,x\n", "line 3: unparseable pair"),
         ("\ndim,birth,death\n \n\n1,0\n", "line 5: expected 3 fields"),
         ("dim,birth,death\n1,0,1\n\n1,2.0,1.0\n", "line 4: death 1.0 before birth 2.0"),
-    ], ids=["unparseable", "field count", "pair"])
+        ("", "diagram CSV must start with header 'dim,birth,death'"),
+        ("dim,birth\n0,1\n", "diagram CSV must start with header 'dim,birth,death'"),
+        ("dim,birth,death\n0,0,1,2\n", "line 2: expected 3 fields"),
+        ("dim,birth,death\n1.0,0,1\n", "line 2: unparseable pair"),
+        ("dim,birth,death\n99999999999999999999,0,1\n", "line 2: unparseable pair"),
+        ("dim,birth,death\n0,0,1\n-1,0,1\n", "line 3: negative dimension -1"),
+        ("dim,birth,death\n0,inf,inf\n", "line 2: birth must be finite, got inf"),
+        ("dim,birth,death\n0,nan,1\n", "line 2: birth must be finite, got nan"),
+        ("dim,birth,death\n0,0,nan\n", "line 2: death must not be NaN"),
+        # the first bad line wins, whatever is wrong further down
+        ("dim,birth,death\n0,0,1\n0,2,1\n0,x,1\n1,2\n",
+         "line 3: death 1.0 before birth 2.0"),
+        ("dim,birth,death\n-2,0,1\n0,0\n", "line 2: negative dimension -2"),
+        ("dim,birth,death\n0,0,nan\n0,y,1\n", "line 2: death must not be NaN"),
+    ], ids=["unparseable", "field count", "pair", "empty", "header",
+            "four fields", "float dim", "dim overflow", "negative dim",
+            "infinite birth", "NaN birth", "NaN death", "first of three",
+            "before field count", "before unparseable"])
     def test_error_names_the_physical_line(self, text, message):
         # blank lines count, as in load_csv
         with pytest.raises(RipsphError, match=f"^{re.escape(message)}$"):

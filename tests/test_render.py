@@ -114,6 +114,15 @@ class TestCapBoundsEveryValue:
         with pytest.raises(ValueError):
             render_barcode_svg(d, RenderOptions(cap=cap))
 
+    @pytest.mark.parametrize("cap", [0.0, -0.5])
+    def test_cap_must_be_positive_above_negative_births(self, cap):
+        # a diagram read from a CSV may be born below 0; a cap between its
+        # births and 0 would divide by 0 or mirror the plot
+        d = PersistenceDiagram([PersistencePair(0, -1.0, math.inf)])
+        for render in (render_barcode_svg, render_diagram_svg):
+            with pytest.raises(ValueError, match="cap must be finite, positive"):
+                render(d, RenderOptions(cap=cap))
+
 
 class TestBettiTable:
     def test_circle_row(self):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_cloud
-from oracles import brute_force_rips, naive_reduction_diagram
-from ripsph.core import PersistenceDiagram, PersistencePair, validate_complex
+from oracles import brute_force_rips, naive_reduction_diagram, union_find_h0
+from ripsph.core import (Filtration, PersistenceDiagram, PersistencePair,
+                         Simplex, validate_complex)
 from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import persistence_diagram
@@ -588,3 +589,46 @@ class TestApparentPairs:
                     max(m[u, v] for u in f for v in f), f))
         assert d == reference_diagram(m, max_dim, t)
         assert cloud_persistence(pts, max_dim, t) == d
+
+
+class TestSpanningTreeH0:
+    """_h0 takes scipy's minimum spanning tree of the edge ranks for the
+    forest that Kruskal's union-find picks over (diameter, key) order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           shape=st.sampled_from(["integer grid", "half duplicated", "uniform"]),
+           scale=st.sampled_from(["zero", "few edges", "near", "inf"]))
+    def test_kruskal_forest_and_deaths(self, seed, n, shape, scale):
+        pts = {"integer grid": seeded_cloud(seed, n, grid=True),
+               "half duplicated": np.concatenate(
+                   [seeded_cloud(seed, n), seeded_cloud(seed, n)[:n // 2]]),
+               "uniform": seeded_cloud(seed, n)}[shape]
+        m = pairwise_distances(pts)
+        dists = np.sort(m[np.triu_indices(len(m), 1)])
+        # zero and few edges leave several components
+        t = {"zero": 0.0, "inf": math.inf,
+             "few edges": float(dists[len(dists) // 4]) if len(dists) else 0.0,
+             "near": float(dists[len(m) - 1]) if len(dists) >= len(m) else 0.0}[scale]
+        g = rips._matrix_graph(m, t)
+        s, diam = map(np.concatenate, zip(*g.grow(*g.vertices)))
+        s, diam = rips._sorted(s, diam, g.keys(s))
+        deaths, keys = rips._h0(g, s, diam)
+
+        parent = list(range(len(m)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        merging = []
+        for _, (i, j) in sorted(zip(diam.tolist(), map(tuple, s.tolist()))):
+            if find(i) != find(j):
+                parent[find(j)] = find(i)
+                merging.append((i, j))
+        assert keys.tolist() == sorted(g.keys(np.array(merging).reshape(-1, 2)).tolist())
+        f = Filtration([(Simplex((v,)), 0.0) for v in range(len(m))]
+                       + [(Simplex(e), d) for e, d in zip(map(tuple, s.tolist()),
+                                                          diam.tolist())])
+        assert sorted((0.0, d) for d in deaths.tolist() if d) == union_find_h0(f)
