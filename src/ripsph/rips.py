@@ -25,14 +25,13 @@ at the vertex level, and every diameter is read in `_Graph.cofaces`:
   tested pass by pass, and never stored whole;
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
-  pairs within the threshold, stopped at the enclosing radius.
+  pairs within the threshold.
 
-`_Graph` is built from one list of weighted pairs i < j and owns every
-weight it reads: a CSR array next to the neighbour lists, and a band
-table that gives any other pair in O(1) with no n x n array unless the
-graph is dense. The points entry labels its vertices in their order
-along the coordinate axis that keeps that band narrowest; the matrix
-paths share one input check.
+Both diagram entries stop their pairs at the enclosing radius, found from
+the pairs alone. `_Graph` is built from one list of weighted pairs i < j,
+labels its own vertices and owns every weight it reads: a CSR array next
+to the neighbour lists, and a band table that gives any other pair in O(1)
+with no n x n array unless some vertex reaches all others.
 """
 from __future__ import annotations
 
@@ -42,8 +41,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse.csgraph import minimum_spanning_tree, reverse_cuthill_mckee
 
 from .core import Filtration, PersistenceDiagram, Simplex, SimplicialComplex
 from .errors import DimensionTooLarge, NotSquare
@@ -99,12 +98,13 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     is read into the result; all of m is checked.
     """
     m = _checked(m, params.max_dimension)
-    g = _matrix_graph(m, params.threshold)
+    g = _Graph(*_matrix_pairs(m, params.threshold), len(m), params.threshold)
     entries, level = [], [g.vertices]
     for k in range(params.max_dimension + 2):
         if k:
             level = [part for p in level for part in g.grow(*p)]
         for s, diam in level:
+            s = np.sort(g.names[s], axis=1)  # in m's vertices
             # share one float per distinct scale of a part, not per entry
             lengths = np.unique(diam)
             scales = lengths.tolist()
@@ -121,7 +121,7 @@ def _clique_counts(m: np.ndarray, top: int, threshold: float) -> list[int]:
     the one below and is counted unsorted; the top level is never stored,
     so memory peaks at the level below."""
     m = _checked(m, top - 1)
-    g = _matrix_graph(m, threshold)
+    g = _Graph(*_matrix_pairs(m, threshold), len(m), threshold)
     level, counts = [g.vertices], [len(m)]
     for k in range(1, top + 1):
         level = (part for p in level for part in g.grow(*p))
@@ -141,28 +141,36 @@ def enclosing_radius(m: np.ndarray) -> float:
 
     From that scale on the Rips complex is a cone on that vertex, hence
     contractible: no class of nonzero persistence is born or dies there.
-    m is not checked here; rips_persistence checks it before use.
+    m is not checked here.
     """
     return float(np.asarray(m, dtype=np.float64).max(axis=1).min())
 
 
 class _Graph:
     """The neighbourhood graph of the pairs i < j of weights w at scale
-    eps, as CSR lists: the neighbours of vertex v are nbr[ptr[v]:ptr[v + 1]],
+    eps, as CSR lists over labels of its own: names[v] is the caller's
+    vertex of label v, its neighbours are nbr[ptr[v]:ptr[v + 1]],
     ascending, and wt holds their weights in the same cells.
 
-    Every other weight is read from table, a band owned by the graph:
-    vertex v's row holds width = min(n, 4b + 3) columns, with b the largest
-    j - i of a pair, and the weight of (v, l) sits at table[off[v] + l], inf
-    where v and l are not a pair (v == l included). cofaces reads only
-    pairs of two neighbours of one vertex, which are at most 2b labels
-    apart, so every lookup lands in row v's own cells: O(1) and unclamped.
-    Labels in coordinate order keep b small; a dense graph gets width = n,
-    one row per vertex of an n x n table. The vertex level, one-vertex rows
-    at diameter 0, starts every clique walk."""
+    Every other weight is read from table, a band owned by the graph: vertex
+    v's row holds width = min(n, 4b + 3) columns, with b the largest label
+    span of a pair, and the weight of (v, l) sits at table[off[v] + l], inf
+    where v and l are not a pair (v == l included). cofaces reads only pairs
+    of two neighbours of one vertex, which are at most 2b labels apart, so
+    every lookup lands in row v's own cells: O(1) and unclamped. The labels,
+    the reverse Cuthill-McKee order of the pairs (Cuthill and McKee, 1969),
+    keep b small. If a vertex has all others as neighbours, any labelling
+    has b >= (n - 1) / 2: the input order is kept and the table is n x n.
+    vertices, the one-vertex rows at diameter 0, starts every clique walk."""
 
     def __init__(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int,
                  eps: float):
+        self.names = np.arange(n)
+        if (np.bincount(np.concatenate((i, j)), minlength=n) < n - 1).all():
+            self.names = reverse_cuthill_mckee(
+                csr_array((np.ones(len(i)), (i, j)), shape=(n, n)))
+            label = np.argsort(self.names)
+            i, j = np.sort((label[i], label[j]), axis=0)
         keys = np.concatenate((i * n + j, j * n + i))
         order = np.argsort(keys)
         keys = keys[order]
@@ -250,8 +258,9 @@ class _Graph:
                       for v, dd in zip(l[ok].tolist(), d[ok].tolist()))
 
 
-def _matrix_graph(m: np.ndarray, eps: float) -> _Graph:
-    """The graph of the upper triangle of m at eps, read in row blocks."""
+def _matrix_pairs(m: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
+    """The pairs i < j of the upper triangle of m within eps and their
+    distances, read in row blocks."""
     n = m.shape[0]
     rows, cols, block = [], [], max(1, _CELLS // n)
     for a in range(0, n, block):
@@ -260,7 +269,25 @@ def _matrix_graph(m: np.ndarray, eps: float) -> _Graph:
         rows.append(r[keep] + a)
         cols.append(c[keep])
     i, j = np.concatenate(rows), np.concatenate(cols)
-    return _Graph(i, j, m[i, j], n, eps)
+    return i, j, m[i, j]
+
+
+def _stopped_graph(pairs: tuple, n: int, eps: float) -> _Graph:
+    """The graph of pairs = (i, j, d), the pairs i < j within eps and their
+    distances, stopped at the enclosing radius R if R <= eps: then some
+    vertex has all others within eps, and R is the least largest distance
+    of such a vertex. The caller hands pairs over, so they are freed here."""
+    i, j, d = pairs
+    del pairs
+    full = np.bincount(np.concatenate((i, j)), minlength=n) == n - 1
+    if full.any():
+        reach = np.zeros(n)
+        np.maximum.at(reach, i, d)
+        np.maximum.at(reach, j, d)
+        eps = min(eps, float(reach[full].min()))
+        keep = d <= eps
+        i, j, d = i[keep], j[keep], d[keep]
+    return _Graph(i, j, d, n, eps)
 
 
 def _sorted(s: np.ndarray, diam: np.ndarray,
@@ -392,52 +419,25 @@ def rips_persistence(m: np.ndarray, max_dim: int,
     diagram of persistence_diagram(build_rips(m, ...), max_dim) without
     listing a single simplex of dimension max_dim + 1.
 
-    The filtration stops at min(threshold, enclosing_radius(m)), which
-    changes no pair of nonzero persistence. m must be symmetric.
+    As in build_rips, only the upper triangle of m is read into the
+    result. The filtration stops at min(threshold, enclosing_radius(m)),
+    which changes no pair of nonzero persistence.
     """
-    params = RipsParams(max_dim, threshold)
+    RipsParams(max_dim, threshold)  # checks both
     m = _checked(m, max_dim)
-    return _diagram(_matrix_graph(m, min(params.threshold, enclosing_radius(m))),
-                    max_dim)
+    g = _stopped_graph(_matrix_pairs(m, threshold), len(m), threshold)
+    return _diagram(g, max_dim)
 
 
 def cloud_persistence(points: np.ndarray, max_dim: int,
                       threshold: float) -> PersistenceDiagram:
     """rips_persistence(pairwise_distances(points), max_dim, threshold),
-    computing only the distances within the threshold (pairs_within).
-
-    The enclosing radius R comes from those pairs: R <= threshold iff some
-    vertex has all others within the threshold, and then R is the least
-    largest distance of such a vertex, so the filtration stops at the same
-    min(threshold, R). There every labelling spans at least (n - 1) / 2
-    labels, so the table is n x n and the input order is kept. Otherwise
-    the vertices are relabelled by their stable order along one coordinate
-    axis, the first one along which the kept pairs span the fewest labels,
-    so that the graph's band table stays narrow (a cloud flat in x is
-    ordered along y or z); the diagram does not depend on the labels.
+    computing only the distances within the threshold (pairs_within); no
+    coordinate is read past them.
     """
-    params = RipsParams(max_dim, threshold)
-    i, j, d = pairs_within(points, params.threshold)
-    n = len(points)
-    _check_dimension(max_dim, n)
-    eps = params.threshold
-    full = np.bincount(np.concatenate((i, j)), minlength=n) == n - 1
-    if full.any():
-        reach = np.zeros(n)
-        np.maximum.at(reach, i, d)
-        np.maximum.at(reach, j, d)
-        eps = min(eps, float(reach[full].min()))
-        keep = d <= eps
-        i, j, d = i[keep], j[keep], d[keep]
-        del keep
-    else:  # stable ranks along the first axis whose pairs span fewest labels
-        label = min((np.argsort(np.argsort(x, kind="stable"))
-                     for x in np.asarray(points, np.float64).T),
-                    key=lambda r: int(np.abs(r[i] - r[j]).max(initial=0)))
-        i, j = label[i], label[j]
-        i, j = np.minimum(i, j), np.maximum(i, j)
-    g = _Graph(i, j, d, n, eps)
-    del i, j, d  # g holds the pairs from here on
+    RipsParams(max_dim, threshold)  # checks both
+    _check_dimension(max_dim, len(points))
+    g = _stopped_graph(pairs_within(points, threshold), len(points), threshold)
     return _diagram(g, max_dim)
 
 

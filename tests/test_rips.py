@@ -215,13 +215,17 @@ class TestCliqueCounts:
             _clique_counts(m, 1, 2.0)
 
 
-def weighted_edges(g, label):
-    """The edges of g's CSR lists as (u, v, weight), u < v, with graph
-    vertex k renamed label[k]."""
+def weighted_edges(g):
+    """The edges of g's CSR lists as (u, v, weight), u < v."""
     v = np.repeat(np.arange(len(g.ptr) - 1), np.diff(g.ptr))
-    u, w = label[v], label[g.nbr]
-    return set(zip(np.minimum(u, w).tolist(), np.maximum(u, w).tolist(),
+    return set(zip(np.minimum(v, g.nbr).tolist(), np.maximum(v, g.nbr).tolist(),
                    g.wt.tolist()))
+
+
+def within(m, eps):
+    """The pairs u < v of m within eps as (u, v, m[u, v])."""
+    u, v = np.nonzero(np.triu(m <= eps, 1))
+    return set(zip(u.tolist(), v.tolist(), m[u, v].tolist()))
 
 
 def reference_diagram(m, max_dim, threshold):
@@ -274,6 +278,14 @@ class TestRipsPersistence:
         max_dim = min(2, n - 2)
         assert (reference_diagram(m, max_dim, enclosing_radius(m))
                 == reference_diagram(m, max_dim, float(m.max())))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reads_only_upper_triangle(self, seed):
+        # as build_rips does: the enclosing radius too comes from the
+        # pairs i < j, not from the rows of m
+        m = pairwise_distances(seeded_cloud(seed, 12, grid=seed % 2 == 1))
+        for t in (0.3, enclosing_radius(m), math.inf):
+            assert rips_persistence(np.triu(m), 1, t) == rips_persistence(m, 1, t), t
 
     def test_all_points_equal(self):
         m = np.zeros((5, 5))
@@ -367,8 +379,8 @@ class TestCloudPersistence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_graph_stops_where_the_matrix_entry_does(self, monkeypatch, seed):
-        # a later stop changes no diagram, only the work: look at the graph
-        # in the labels of the points entry
+        # a later stop changes no diagram, only the work: look at each
+        # graph in its own labels
         pts = seeded_cloud(seed, 9, grid=seed % 2 == 1)
         m = pairwise_distances(pts)
         r = enclosing_radius(m)
@@ -381,8 +393,8 @@ class TestCloudPersistence:
             cloud_persistence(pts, 1, t)
             by_matrix, by_points = graphs[-2:]
             assert by_points.eps == by_matrix.eps == min(t, r)
-            assert (weighted_edges(by_points, axis_order(pts, m, by_points.eps))
-                    == weighted_edges(by_matrix, np.arange(len(pts))))
+            for g in by_matrix, by_points:
+                assert weighted_edges(g) == within(m[np.ix_(g.names, g.names)], g.eps)
 
     def test_unit_square(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -409,24 +421,9 @@ def with_duplicates(pts):
     return np.concatenate([pts, pts[::9]])
 
 
-def axis_order(pts, m, eps):
-    """The labels of cloud_persistence's graph: the input order when some
-    point has all others within eps, else the stable order along the first
-    axis along which the pairs within eps span the fewest labels."""
-    if (m <= eps).all(axis=1).any():
-        return np.arange(len(pts))
-    i, j = np.nonzero(np.triu(m <= eps, 1))
-
-    def span(order):
-        rank = np.argsort(order)
-        return int(np.abs(rank[i] - rank[j]).max(initial=0))
-
-    return min((np.argsort(x, kind="stable") for x in pts.T), key=span)
-
-
 class TestBandTable:
-    """cloud_persistence on clouds long along one axis, in x or not, where
-    in the order along that axis the largest label span b of a pair is
+    """Both diagram entries on clouds long along one axis, in x or not,
+    where in the graph's own labels the largest label span b of a pair is
     small against n and the graph's table is a band of 4b + 3 columns per
     vertex. Near the enclosing radius R the band cannot be taken: the
     vertex that reaches all others spans at least (n - 1) / 2 labels, so
@@ -485,18 +482,18 @@ class TestBandTable:
             # at 300 points, where the complexes grow large
             max_dim = int(n <= 150) + int(t < r / 2)
             d = cloud_persistence(pts, max_dim, t)
-            g = graphs[-1]
             assert d == rips_persistence(m, max_dim, t), t
-            order = axis_order(pts, m, g.eps)
-            self.check_band(g, m[np.ix_(order, order)])
-            b = int(np.abs(g.nbr - np.repeat(np.arange(n), np.diff(g.ptr))).max())
+            for g in graphs[-2:]:  # the points entry's, then the matrix's
+                self.check_band(g, m[np.ix_(g.names, g.names)])
+                b = int(np.abs(g.nbr - np.repeat(np.arange(n), np.diff(g.ptr))).max())
+                if t < r / 2:
+                    # the band layout was taken
+                    assert 4 * b + 3 < n
+                    assert g.table.size == n * (4 * b + 3)
+                else:
+                    assert g.table.size == n * n
             if t < r / 2:
-                # the band layout was taken
-                assert 4 * b + 3 < n
-                assert g.table.size == n * (4 * b + 3)
                 assert d == reference_diagram(m, max_dim, t), t
-            else:
-                assert g.table.size == n * n
 
 
 class TestKeys:
@@ -574,19 +571,21 @@ class TestApparentPairs:
 
         def record(g, s, diam):
             out = first_pivots(g, s, diam)
-            seen.append((s, diam, *out))
+            seen.append((g, s, diam, *out))
             return out
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_Graph, "first_pivots", record)
             d = rips_persistence(m, max_dim, t)
-        for s, diam, tops, pd, apparent in seen:
+        for g, s, diam, tops, pd, apparent in seen:
             assert np.array_equal(diam[apparent], pd[apparent])
+            mg = m[np.ix_(g.names, g.names)]
             for row, top in zip(s[apparent].tolist(), tops[apparent].tolist()):
                 # the latest facet by (diameter, vertex tuple), read from m
+                # in the graph's labels
                 facets = [top[:p] + top[p + 1:] for p in range(len(top))]
                 assert row == max(facets, key=lambda f: (
-                    max(m[u, v] for u in f for v in f), f))
+                    max(mg[u, v] for u in f for v in f), f))
         assert d == reference_diagram(m, max_dim, t)
         assert cloud_persistence(pts, max_dim, t) == d
 
@@ -610,7 +609,7 @@ class TestSpanningTreeH0:
         t = {"zero": 0.0, "inf": math.inf,
              "few edges": float(dists[len(dists) // 4]) if len(dists) else 0.0,
              "near": float(dists[len(m) - 1]) if len(dists) >= len(m) else 0.0}[scale]
-        g = rips._matrix_graph(m, t)
+        g = _Graph(*rips._matrix_pairs(m, t), len(m), t)
         s, diam = map(np.concatenate, zip(*g.grow(*g.vertices)))
         s, diam = rips._sorted(s, diam, g.keys(s))
         deaths, keys = rips._h0(g, s, diam)
@@ -632,3 +631,48 @@ class TestSpanningTreeH0:
                        + [(Simplex(e), d) for e, d in zip(map(tuple, s.tolist()),
                                                           diam.tolist())])
         assert sorted((0.0, d) for d in deaths.tolist() if d) == union_find_h0(f)
+
+
+class TestLabelInvariance:
+    """The graph labels its own vertices, by reverse Cuthill-McKee unless
+    some vertex reaches all others, so no entry depends on the caller's
+    order of the points."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 12),
+           shape=st.sampled_from(sorted(TestApparentPairs.SHAPES)),
+           max_dim=st.integers(1, 3),
+           scale=st.sampled_from(["near", "below R", "at R", "above R", "inf"]))
+    def test_permuted_points(self, seed, n, shape, max_dim, scale):
+        pts = TestApparentPairs.SHAPES[shape](seed, n)
+        n = len(pts)
+        m = pairwise_distances(pts)
+        max_dim = min(max_dim, n - 2)
+        r = enclosing_radius(m)
+        t = {"near": float(np.sort(m[np.triu_indices(n, 1)])[n]),
+             "below R": float(np.nextafter(r, 0.0)), "at R": r,
+             "above R": float(np.nextafter(r, math.inf)), "inf": math.inf}[scale]
+        p = np.random.default_rng(seed).permutation(n)
+        mp = m[p][:, p]
+        graphs = []
+        init = _Graph.__init__
+
+        def record(g, *args):
+            init(g, *args)
+            graphs.append(g)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Graph, "__init__", record)
+            assert cloud_persistence(pts[p], max_dim, t) == cloud_persistence(
+                pts, max_dim, t)
+            assert rips_persistence(mp, max_dim, t) == rips_persistence(
+                m, max_dim, t)
+            permuted = build_rips(mp, RipsParams(max_dim, t))
+            f = build_rips(m, RipsParams(max_dim, t))
+        # vertex v of mp is vertex p[v] of m
+        assert (sorted((tuple(sorted(p[list(s)].tolist())), x) for s, x in permuted)
+                == sorted((s.vertices, x) for s, x in f))
+        for g in graphs:
+            assert np.array_equal(np.sort(g.names), np.arange(n))
+            full = (np.diff(g.ptr) == n - 1).any()
+            assert np.array_equal(g.names, np.arange(n)) == full
