@@ -50,10 +50,14 @@ def _blocks(a: PersistenceDiagram, b: PersistenceDiagram, dim: int
     fb, eb = _split(b, dim)
     if len(ea) != len(eb):
         return None
-    linf = np.maximum(np.abs(fa[:, None, 0] - fb[None, :, 0]),
-                      np.abs(fa[:, None, 1] - fb[None, :, 1]))
-    gaps = [abs(x - y) for x, y in zip(ea, eb)]
-    return gaps, linf, (fa[:, 1] - fa[:, 0]) / 2.0, (fb[:, 1] - fb[:, 0]) / 2.0
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        linf = np.maximum(np.abs(fa[:, None, 0] - fb[None, :, 0]),
+                          np.abs(fa[:, None, 1] - fb[None, :, 1]))
+        half = [(f[:, 1] - f[:, 0]) / 2.0 for f in (fa, fb)]
+    for f, h in zip((fa, fb), half):  # where a difference overflows, its half fits
+        wide = np.isinf(h)
+        h[wide] = f[wide, 1] / 2.0 - f[wide, 0] / 2.0
+    return [abs(x - y) for x, y in zip(ea, eb)], linf, *half
 
 
 def _covers(ok: np.ndarray) -> bool:
@@ -99,11 +103,17 @@ def wasserstein_distance(a: PersistenceDiagram, b: PersistenceDiagram,
     if blocks is None:
         return math.inf
     gaps, linf, ha, hb = blocks
-    saving = np.minimum(linf - ha[:, None] - hb, 0.0)
+    with np.errstate(over="ignore"):
+        saving = np.minimum(linf - ha[:, None] - hb, 0.0)
+    if np.isneginf(saving).any():  # quarters cannot overflow; exact above subnormals
+        saving = np.minimum(linf / 4.0 - ha[:, None] / 4.0 - hb / 4.0, 0.0)
     rows, cols = linear_sum_assignment(saving)
     kept = saving[rows, cols] < 0.0
     rows, cols = rows[kept], cols[kept]
     # the realised costs, not the diagonal total plus the savings, which
     # cancels; fsum is exactly rounded, so their order does not matter
-    return math.fsum(gaps + linf[rows, cols].tolist()
-                     + np.delete(ha, rows).tolist() + np.delete(hb, cols).tolist())
+    try:
+        return math.fsum(gaps + linf[rows, cols].tolist()
+                         + np.delete(ha, rows).tolist() + np.delete(hb, cols).tolist())
+    except OverflowError:  # the costs, all >= 0, sum past the float range
+        return math.inf

@@ -11,10 +11,6 @@ from scipy.spatial import cKDTree
 from .errors import NotSquare
 
 TRIANGLE_TOL = 1e-9
-# cap on the triangle check's temporary: 256k float64, 2 MiB; a block holds
-# at least one row, which takes n * n floats, so past n = 512 the temporary
-# is one more n x n matrix
-_BLOCK_FLOATS = 1 << 18
 # coordinates per block of pairs_within's distance pass: 256 KiB per
 # float64 temporary, which stays in cache
 _PAIR_FLOATS = 1 << 15
@@ -22,6 +18,12 @@ _PAIR_FLOATS = 1 << 15
 _TINY_DISTANCE = 2.0 ** -511
 # relative slack of the kd-tree radius, far above the tree's rounding
 _SLACK = 2.0 ** -40
+
+
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of diff: both pairwise_distances and
+    pairs_within compute every distance here, so they agree bitwise."""
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -39,8 +41,7 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     out = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
-        diff = pts[i + 1:] - pts[i]
-        row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        row = _lengths(pts[i + 1:] - pts[i])
         out[i, i + 1:] = row
         out[i + 1:, i] = row
     # max is NaN if any entry is; finite points reach inf only by overflow
@@ -86,8 +87,7 @@ def pairs_within(points: np.ndarray,
     step = max(1, _PAIR_FLOATS // dim)
     for a in range(0, len(ij), step):
         # as in pairwise_distances, where row i holds pts[j] - pts[i], j > i
-        diff = pts[ij[a:a + step, 1]] - pts[ij[a:a + step, 0]]
-        d[a:a + step] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        d[a:a + step] = _lengths(pts[ij[a:a + step, 1]] - pts[ij[a:a + step, 0]])
     keep = d <= eps
     i, j = ij[keep].T
     return i, j, d[keep]
@@ -116,15 +116,13 @@ def validate_metric(m: np.ndarray) -> list[str]:
             violations.append(f"Symmetry violation at ({i},{j})")
         if nonpositive[i, j]:
             violations.append(f"Positivity violation at ({i},{j}): {m[i, j]!r}")
-    # min-plus product m (x) m over row blocks: via[i, k] = min_j m[i,j] + m[j,k]
-    rows = max(1, _BLOCK_FLOATS // max(n * n, 1))
-    for start in range(0, n, rows):
-        block = m[start:start + rows]
-        via = (block[:, :, None] + m[None, :, :]).min(axis=1)
-        bad = (via < block - TRIANGLE_TOL) & upper[start:start + rows]
-        for i, k in np.argwhere(bad) + (start, 0):
-            j = int(np.argmin(m[i] + m[:, k]))
-            violations.append(
-                f"Triangle violation ({i},{k}): {m[i, k]!r} > "
-                f"{m[i, j]!r} + {m[j, k]!r}")
+    # min-plus product m (x) m, one j at a time: via[i, k] = min_j m[i,j] + m[j,k]
+    via, step = np.full((n, n), np.inf), np.empty((n, n))
+    for j in range(n):
+        np.minimum(via, np.add(m[:, j, None], m[j], out=step), out=via)
+    for i, k in np.argwhere((via < np.subtract(m, TRIANGLE_TOL, out=step)) & upper):
+        j = int(np.argmin(m[i] + m[:, k]))
+        violations.append(
+            f"Triangle violation ({i},{k}): {m[i, k]!r} > "
+            f"{m[i, j]!r} + {m[j, k]!r}")
     return violations

@@ -5,24 +5,24 @@ Scale values use the edge-length (diameter) convention: a simplex enters
 at the largest pairwise distance among its vertices. Callers working in
 the radius convention double their threshold before calling in.
 
-All paths share one clique enumeration, the level-wise expansion of
-`_Graph` (Zomorodian, "Fast construction of the Vietoris-Rips complex",
-2010): every level, edges included, grows from the one below, starting
-at the vertex level, and every diameter is read in `_Graph.cofaces`:
+All paths share one clique walk, `_levels` (Zomorodian, "Fast construction
+of the Vietoris-Rips complex", 2010): each level, edges included, grows
+unsorted from the one below by `_Graph.grow`, which reads every diameter
+in `_Graph.cofaces`, and the top level is never stored whole:
 
 - `build_rips` lists every simplex as a `Filtration` entry, the general
   path that `persistence_diagram` reduces and that tests use as referee;
 - `rips_persistence` computes the diagram directly: it stops at the
   enclosing radius, pairs H0 by scipy's minimum spanning tree of the edge
-  ranks (Kruskal over the filtration order) and H1 upwards by cohomology
-  with clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
-  persistent (co)homology", 2011), on numpy arrays of vertex rows named
-  by exact int64 keys. The apparent pairs (Bauer, "Ripser", JACT 2021),
-  nearly every column, are decided in numpy one column at a time, as in
-  Ripser++ (Zhang, Xiao and Wang, SoCG 2020), and add no pair; a Python
-  loop visits the rest and builds a coboundary only for the few whose
-  first pivot is already owned. The top level is grown, cleared and
-  tested pass by pass, and never stored whole;
+  ranks (Kruskal over the edges, which only `_h0` sorts into filtration
+  order) and H1 upwards by cohomology with clearing (de Silva, Morozov and
+  Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), on
+  numpy arrays of vertex rows named by exact int64 keys. The apparent
+  pairs (Bauer, "Ripser", JACT 2021), nearly every column, are decided in
+  numpy one column at a time, as in Ripser++ (Zhang, Xiao and Wang, SoCG
+  2020), and add no pair; a Python loop visits the rest and builds a
+  coboundary only for the few whose first pivot is already owned. The top
+  level is cleared and tested pass by pass as it grows;
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
   pairs within the threshold.
@@ -99,10 +99,8 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     """
     m = _checked(m, params.max_dimension)
     g = _Graph(*_matrix_pairs(m, params.threshold), len(m), params.threshold)
-    entries, level = [], [g.vertices]
-    for k in range(params.max_dimension + 2):
-        if k:
-            level = [part for p in level for part in g.grow(*p)]
+    entries = []
+    for level in _levels(g, [g.vertices], params.max_dimension + 1):
         for s, diam in level:
             s = np.sort(g.names[s], axis=1)  # in m's vertices
             # share one float per distinct scale of a part, not per entry
@@ -111,24 +109,29 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
             at = np.searchsorted(lengths, diam).tolist()
             entries += zip(map(Simplex._canonical, s.tolist()),
                            map(scales.__getitem__, at))
-    del level
     return Filtration(entries)
 
 
 def _clique_counts(m: np.ndarray, top: int, threshold: float) -> list[int]:
     """Simplices per dimension 0..top of build_rips(m, RipsParams(top - 1,
-    threshold)), with no Simplex made. Each level grows pass by pass from
-    the one below and is counted unsorted; the top level is never stored,
-    so memory peaks at the level below."""
+    threshold)), with no Simplex made: each level of _levels is counted
+    unsorted, so memory peaks at the level below the top."""
     m = _checked(m, top - 1)
     g = _Graph(*_matrix_pairs(m, threshold), len(m), threshold)
-    level, counts = [g.vertices], [len(m)]
-    for k in range(1, top + 1):
+    return [sum(len(s) for s, _ in level) for level in _levels(g, [g.vertices], top)]
+
+
+def _levels(g: _Graph, level: list, above: int):
+    """level, a list of parts (vertex rows, diameters) of g, then the above
+    levels grown from it, each from the one before, pass by pass through
+    g.grow. Every level but the last is a list; the last is a generator of
+    parts, never stored whole."""
+    yield level
+    for k in range(above):
         level = (part for p in level for part in g.grow(*p))
-        if k < top:
+        if k < above - 1:
             level = list(level)
-        counts.append(sum(len(s) for s, _ in level))
-    return counts
+        yield level
 
 
 def complex_at_scale(f: Filtration, s: float) -> SimplicialComplex:
@@ -290,13 +293,6 @@ def _stopped_graph(pairs: tuple, n: int, eps: float) -> _Graph:
     return _Graph(i, j, d, n, eps)
 
 
-def _sorted(s: np.ndarray, diam: np.ndarray,
-            key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s and diam in filtration order: by diameter, then key."""
-    order = np.lexsort((key, diam))
-    return s[order], diam[order]
-
-
 def _keys(cols, n: int, b: int):
     """Exact keys, in base b + 1 with digits v0 and each v_i - v0, of rows
     of m ascending vertices below n that span at most b, given as their m
@@ -338,14 +334,16 @@ def _pivot(col: list):
 
 
 def _h0(g: _Graph, s: np.ndarray, diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kruskal's spanning forest of the edges in filtration order, as
-    scipy's minimum_spanning_tree on the distinct, exact weights rank + 1
-    (+ 1, or rank 0 would read as no edge). Kruskal's forest of a prefix is
-    its state after it, so a dense graph is not read whole: the prefix read
-    starts at 4n edges, all of a graph of mean degree 8, and doubles until
-    the forest spans or holds every edge. Returns the H0 deaths, inf for
-    each component, and the sorted keys of the merging edges, which need no
-    H1 column."""
+    """Kruskal's spanning forest of the edges s, in filtration order (by
+    diameter, then key), as scipy's minimum_spanning_tree on the distinct,
+    exact weights rank + 1 (+ 1, or rank 0 would read as no edge). Kruskal's
+    forest of a prefix is its state after it, so a dense graph is not read
+    whole: the prefix read starts at 4n edges, all of a graph of mean degree
+    8, and doubles until the forest spans or holds every edge. Returns the
+    H0 deaths, inf for each component, and the sorted keys of the merging
+    edges, which need no H1 column."""
+    order = np.lexsort((g.keys(s), diam))
+    s, diam = s[order], diam[order]
     n = len(g.ptr) - 1
     end = 4 * n
     while True:
@@ -443,19 +441,12 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
 
 def _diagram(g: _Graph, max_dim: int) -> PersistenceDiagram:
     """H0 to H_max_dim of the clique filtration of g, by a spanning tree and
-    cohomology with clearing. The edges are sorted for H0; each level above
-    them is the parts that grow from the level below, unsorted, and the
-    top one is a generator."""
+    cohomology with clearing: the edges are grown once and held whole for
+    H0 and H1, and _levels grows the levels above from them."""
     pairs: list[tuple[int, float, float]] = []
     s, diam = map(np.concatenate, zip(*g.grow(*g.vertices)))
-    s, diam = _sorted(s, diam, g.keys(s))
     h0, cleared = _h0(g, s, diam)
-    level = [(s, diam)]
-    for k in range(1, max_dim + 1):
-        if k > 1:
-            level = (part for p in level for part in g.grow(*p))
-            if k < max_dim:
-                level = list(level)
+    for k, level in zip(range(1, max_dim + 1), _levels(g, [(s, diam)], max_dim - 1)):
         cleared = _cohomology(k, g, level, cleared, pairs)
     k, b, d = np.array(pairs, np.float64).reshape(-1, 3).T  # exact: small ints
     zeros = np.zeros(len(h0))

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ class TestWasserstein:
         a = diagram([(10.0 * i, 10.0 * i + 5) for i in range(1000)])
         b = diagram([(10.0 * i, 10.0 * i + 5 + 0.25) for i in range(1000)])
         assert wasserstein_distance(a, b, 1) == 250.0
+
+
+class TestFloatRange:
+    """Diagrams at the top of the float range: a difference overflows though
+    its half fits, a saving overflows, and a sum passes the range. Each
+    distance is its exact value, rounded, with no warning."""
+
+    C = [(-1e308, 1e308)]
+    D = [(1e308, 1e308)]
+
+    @pytest.mark.parametrize("a, b, dist, expected", [
+        ([(0.0, 1.6e308)] * 3, [], wasserstein_distance, math.inf),
+        ([(0.0, 1.6e308)] * 3, [], bottleneck_distance, 8e307),
+        (C, C, wasserstein_distance, 0.0),
+        (C, C, bottleneck_distance, 0.0),
+        (C, D, bottleneck_distance, 1e308),
+        (C, D, wasserstein_distance, 1e308),
+    ], ids=["sum past the range", "largest half", "saving overflows",
+            "difference overflows", "half fits", "linf overflows"])
+    def test_exact_value(self, a, b, dist, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist(diagram(a), diagram(b), 1) == expected
+            assert dist(diagram(b), diagram(a), 1) == expected
 
 
 def assert_matches_oracle(a, b, dim=1):

@@ -215,6 +215,60 @@ class TestCliqueCounts:
             _clique_counts(m, 1, 2.0)
 
 
+class TestLevels:
+    """build_rips, _clique_counts and the diagram engine grow each level
+    below their top once and never the top: a level grown twice would
+    change no output, only the time. The rows passed to _Graph.grow are
+    counted by their width, the level's dimension + 1."""
+
+    @pytest.fixture
+    def grown(self, monkeypatch):
+        rows = {}
+        grow = _Graph.grow
+
+        def counted(g, s, diam):
+            rows[s.shape[1]] = rows.get(s.shape[1], 0) + len(s)
+            return grow(g, s, diam)
+        monkeypatch.setattr(_Graph, "grow", counted)
+        return rows
+
+    @staticmethod
+    def assert_grown_once(rows, counts):
+        """Width w grown by counts[w - 1] rows for w = 1..len(counts), and
+        no wider level grown."""
+        assert set(rows) <= set(range(1, len(counts) + 1))
+        assert [rows.get(w, 0) for w in range(1, len(counts) + 1)] == counts
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("where", ["half", "at", "inf"])
+    def test_build_rips_and_clique_counts(self, grown, seed, where):
+        m = pairwise_distances(seeded_cloud(seed, 9, grid=seed % 2 == 1))
+        r = enclosing_radius(m)
+        t = {"half": 0.5 * r, "at": r, "inf": math.inf}[where]
+        for k in range(3):
+            grown.clear()
+            counts = _clique_counts(m, k + 1, t)
+            self.assert_grown_once(grown, counts[:-1])
+            grown.clear()
+            assert len(build_rips(m, RipsParams(k, t))) == sum(counts)
+            self.assert_grown_once(grown, counts[:-1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_dim", [0, 1, 2, 3])
+    def test_diagram_never_grows_its_top(self, grown, seed, max_dim):
+        # below the top level, the vertices grow the edges once and each
+        # level above the edges grows once, in the graph stopped at R
+        pts = seeded_cloud(seed, 10, grid=seed % 2 == 1)
+        m = pairwise_distances(pts)
+        r = enclosing_radius(m)
+        for t in (0.5 * r, math.inf):
+            counts = _clique_counts(m, max(max_dim, 1), min(t, r))[:-1]
+            for entry, data in ((rips_persistence, m), (cloud_persistence, pts)):
+                grown.clear()
+                entry(data, max_dim, t)
+                self.assert_grown_once(grown, counts)
+
+
 def weighted_edges(g):
     """The edges of g's CSR lists as (u, v, weight), u < v."""
     v = np.repeat(np.arange(len(g.ptr) - 1), np.diff(g.ptr))
@@ -611,7 +665,6 @@ class TestSpanningTreeH0:
              "near": float(dists[len(m) - 1]) if len(dists) >= len(m) else 0.0}[scale]
         g = _Graph(*rips._matrix_pairs(m, t), len(m), t)
         s, diam = map(np.concatenate, zip(*g.grow(*g.vertices)))
-        s, diam = rips._sorted(s, diam, g.keys(s))
         deaths, keys = rips._h0(g, s, diam)
 
         parent = list(range(len(m)))
