@@ -1,6 +1,7 @@
 """Point-cloud ingestion: PDB alpha-carbon extraction and CSV coordinates."""
 from __future__ import annotations
 
+import itertools
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -75,43 +76,53 @@ def parse_pdb(source: Union[str, bytes, IO], chain: Optional[str] = None) -> np.
     return as_point_cloud(points)
 
 
+def _numbered_lines(source: Union[str, bytes, IO]) -> list[tuple[int, str]]:
+    """The non-blank lines of source's text, each with its physical line
+    number, counted from 1, so that an error can name it."""
+    return [(n, ln) for n, ln in enumerate(_as_text(source).splitlines(), start=1)
+            if ln.strip()]
+
+
 def load_csv(source: Union[str, bytes, IO]) -> np.ndarray:
     """Parse comma-separated coordinates; a first non-blank row that is not
     numeric is a header."""
-    text = _as_text(source)
-    rows: list[list[float]] = []
-    width: Optional[int] = None
-    first = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if first:
-            first = False
-            try:
-                float(fields[0].strip())
-            except ValueError:
-                continue  # header row
+    lines = _numbered_lines(source)
+    if lines:
         try:
-            values = list(map(float, fields))  # float() skips the spaces
+            float(lines[0][1].split(",")[0].strip())
         except ValueError:
-            # field by field, to name the bad one; strip() also drops the
-            # few separators that float() does not take for spaces
-            values = []
-            for f in map(str.strip, fields):
-                try:
-                    values.append(float(f))
-                except ValueError:
-                    raise NonNumeric(lineno, f) from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise RaggedRows(
-                f"line {lineno}: expected {width} fields, got {len(values)}")
-        rows.append(values)
-    if not rows:
+            del lines[0]  # header row
+    if not lines:
         raise EmptySelection("no coordinate rows found")
-    return as_point_cloud(rows)
+    width = lines[0][1].count(",") + 1
+    try:
+        if any(ln.count(",") != width - 1 for _, ln in lines):
+            raise ValueError
+        # every field in one pass, no row kept; float() skips the spaces
+        values = np.fromiter(map(float, itertools.chain.from_iterable(
+            ln.split(",") for _, ln in lines)), np.float64)
+    except ValueError:
+        # row by row, to name the first bad line
+        values = [x for lineno, ln in lines for x in _row(lineno, ln.split(","), width)]
+    return as_point_cloud(np.reshape(values, (len(lines), width)))
+
+
+def _row(lineno: int, fields: list[str], width: int) -> list[float]:
+    """The values of one CSV line, or the error that names it."""
+    try:
+        values = list(map(float, fields))
+    except ValueError:
+        # field by field, to name the bad one; strip() also drops the
+        # few separators that float() does not take for spaces
+        values = []
+        for f in map(str.strip, fields):
+            try:
+                values.append(float(f))
+            except ValueError:
+                raise NonNumeric(lineno, f) from None
+    if len(values) != width:
+        raise RaggedRows(f"line {lineno}: expected {width} fields, got {len(values)}")
+    return values
 
 
 def write_csv(points: np.ndarray) -> str:

@@ -26,6 +26,22 @@ def _lengths(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+def _rows(pts: np.ndarray):
+    """Each i with row i of the upper triangle of the distance matrix of
+    pts, the distances from pts[i] to pts[i + 1:]. Raises ValueError at the
+    first row that holds a distance that is not finite, as when large
+    coordinates overflow: the first such entry of the symmetric matrix in
+    row-major order always lies in the upper triangle."""
+    for i in range(len(pts)):
+        row = _lengths(pts[i + 1:] - pts[i])
+        # max is NaN if any entry is; finite points reach inf only by overflow
+        if not row.max(initial=0.0) < np.inf:
+            j = int(np.argmin(np.isfinite(row)))
+            raise ValueError(f"distance ({i},{i + 1 + j}) is {float(row[j])!r}; "
+                             "distances must be finite")
+        yield i, row
+
+
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Dense n x n Euclidean distance matrix, exactly symmetric.
 
@@ -40,15 +56,9 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
         raise ValueError("expected an (n, d) point cloud with n >= 1")
     n = pts.shape[0]
     out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        row = _lengths(pts[i + 1:] - pts[i])
+    for i, row in _rows(pts):
         out[i, i + 1:] = row
         out[i + 1:, i] = row
-    # max is NaN if any entry is; finite points reach inf only by overflow
-    if not out.max() < np.inf:
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise ValueError(f"distance ({i},{j}) is {float(out[i, j])!r}; "
-                         "distances must be finite")
     out.setflags(write=False)
     return out
 
@@ -67,8 +77,8 @@ def pairs_within(points: np.ndarray,
     the absolute error (points at x = 0 and 1e-200 are at distance 0).
 
     Raises ValueError as pairwise_distances does if a distance is not
-    finite; that check looks at the pairwise_distances matrix only when
-    the coordinate spans are large enough for a square to overflow.
+    finite; only when the coordinate spans are large enough for a square
+    to overflow, that check walks its rows, one at a time, keeping none.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or 0 in pts.shape:
@@ -80,7 +90,8 @@ def pairs_within(points: np.ndarray,
     with np.errstate(invalid="ignore"):
         half_span = pts.max(axis=0) / 2 - pts.min(axis=0) / 2
     if not half_span.max() <= 2.0 ** 510 / math.sqrt(dim):
-        pairwise_distances(pts)
+        for _ in _rows(np.ascontiguousarray(pts)):
+            pass
     r = max(eps, _TINY_DISTANCE) * (1.0 + _SLACK)
     ij = cKDTree(pts).query_pairs(r, output_type="ndarray")
     d = np.empty(len(ij))

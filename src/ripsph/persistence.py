@@ -21,7 +21,7 @@ import numpy as np
 from .core import Filtration, PersistenceDiagram, PersistencePair
 from .errors import RipsphError
 from .homology import _boundary_columns, _reduce
-from .ingestion import _as_text
+from .ingestion import _numbered_lines
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def _check_row(lineno: int, line: str) -> None:
 def read_diagram_csv(source: Union[str, IO]) -> PersistenceDiagram:
     """The diagram of a CSV as write_diagram_csv writes it. Blank lines are
     skipped but counted: an error names the first bad physical line."""
-    lines = [(n, ln) for n, ln in enumerate(_as_text(source).splitlines(), start=1)
-             if ln.strip()]
+    lines = _numbered_lines(source)
     if not lines or lines[0][1].strip() != "dim,birth,death":
         raise RipsphError("diagram CSV must start with header 'dim,birth,death'")
     rows = [ln.split(",") for _, ln in lines[1:]]

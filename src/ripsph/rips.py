@@ -29,9 +29,9 @@ in `_Graph.cofaces`, and the top level is never stored whole:
 
 Both diagram entries stop their pairs at the enclosing radius, found from
 the pairs alone. `_Graph` is built from one list of weighted pairs i < j,
-labels its own vertices and owns every weight it reads: a CSR array next
-to the neighbour lists, and a band table that gives any other pair in O(1)
-with no n x n array unless some vertex reaches all others.
+labels its own vertices and owns every weight it reads: one scipy CSR
+array of the neighbour lists, and a band table that gives any other pair
+in O(1) with no n x n array unless some vertex reaches all others.
 """
 from __future__ import annotations
 
@@ -151,9 +151,9 @@ def enclosing_radius(m: np.ndarray) -> float:
 
 class _Graph:
     """The neighbourhood graph of the pairs i < j of weights w at scale
-    eps, as CSR lists over labels of its own: names[v] is the caller's
-    vertex of label v, its neighbours are nbr[ptr[v]:ptr[v + 1]],
-    ascending, and wt holds their weights in the same cells.
+    eps, one scipy CSR array over labels of its own: names[v] is the
+    caller's vertex of label v, its neighbours, ascending, are the array's
+    indices nbr[ptr[v]:ptr[v + 1]], and wt, its data, holds their weights.
 
     Every other weight is read from table, a band owned by the graph: vertex
     v's row holds width = min(n, 4b + 3) columns, with b the largest label
@@ -161,32 +161,29 @@ class _Graph:
     where v and l are not a pair (v == l included). cofaces reads only pairs
     of two neighbours of one vertex, which are at most 2b labels apart, so
     every lookup lands in row v's own cells: O(1) and unclamped. The labels,
-    the reverse Cuthill-McKee order of the pairs (Cuthill and McKee, 1969),
+    the reverse Cuthill-McKee order of the array (Cuthill and McKee, 1969),
     keep b small. If a vertex has all others as neighbours, any labelling
     has b >= (n - 1) / 2: the input order is kept and the table is n x n.
     vertices, the one-vertex rows at diameter 0, starts every clique walk."""
 
     def __init__(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int,
                  eps: float):
+        a = csr_array((np.tile(w, 2), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
         self.names = np.arange(n)
-        if (np.bincount(np.concatenate((i, j)), minlength=n) < n - 1).all():
-            self.names = reverse_cuthill_mckee(
-                csr_array((np.ones(len(i)), (i, j)), shape=(n, n)))
-            label = np.argsort(self.names)
-            i, j = np.sort((label[i], label[j]), axis=0)
-        keys = np.concatenate((i * n + j, j * n + i))
-        order = np.argsort(keys)
-        keys = keys[order]
-        self.nbr = keys % n
-        self.wt = np.concatenate((w, w))[order]
-        self.ptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        del keys, order  # not held while the table is filled
-        b = int((j - i).max(initial=0))
-        width = min(n, 4 * b + 3)
+        if (np.diff(a.indptr) < n - 1).all():
+            self.names = reverse_cuthill_mckee(a, symmetric_mode=True)
+            a = a[self.names][:, self.names]
+        a.sort_indices()
+        self.ptr, self.nbr, self.wt = (a.indptr.astype(np.intp, copy=False),
+                                       a.indices.astype(np.intp, copy=False), a.data)
+        del a  # not held while the table is filled
         v = np.arange(n)
+        u = np.repeat(v, np.diff(self.ptr))  # each cell's own row
+        b = int((self.nbr - u).max(initial=0))
+        width = min(n, 4 * b + 3)
         self.off = v * width - np.clip(v - 2 * b - 1, 0, n - width)
         self.table = np.full(n * width, np.inf)
-        self.table[self.off[i] + j] = self.table[self.off[j] + i] = w
+        self.table[self.off[u] + self.nbr] = self.wt
         self.eps = eps
         self.span = b
         # simplices per numpy pass, so that no pass exceeds _CELLS cells

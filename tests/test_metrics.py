@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import naive_validate_metric
+from ripsph import metrics
 from ripsph.errors import NotSquare
 from ripsph.metrics import pairs_within, pairwise_distances, validate_metric
 
@@ -115,6 +117,44 @@ class TestPairsWithin:
             warnings.simplefilter("error")
             assert as_triples(*pairs_within(pts, math.inf)) == as_triples(
                 i, j, m[i, j])
+
+    @staticmethod
+    def far_cloud(n, x):
+        """n uniform 3-D points, point 7 moved to the first coordinate x:
+        past the span bound, so the overflow check walks the rows."""
+        pts = np.random.default_rng(5).uniform(size=(n, 3))
+        pts[7, 0] = x
+        return pts
+
+    def test_far_point_walks_rows_without_the_matrix(self, monkeypatch):
+        pts = self.far_cloud(1500, 5e153)
+        m = pairwise_distances(pts)
+        assert m.max() < math.inf
+        i, j = np.nonzero(np.triu(m <= 0.1, 1))
+        expected = as_triples(i, j, m[i, j])
+        del m
+
+        def dense(points):
+            raise AssertionError("pairs_within built the n x n matrix")
+        monkeypatch.setattr(metrics, "pairwise_distances", dense)
+        tracemalloc.start()
+        try:
+            got = pairs_within(pts, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert as_triples(*got) == expected
+        assert peak < 1500 * 1500 * 8 / 10  # a tenth of the matrix
+
+    @pytest.mark.parametrize("x", [1e200, -1e200, math.nan])
+    def test_far_point_error_is_the_matrix_error(self, x):
+        pts = self.far_cloud(300, x)
+        with pytest.raises(ValueError) as dense:
+            pairwise_distances(pts)
+        with pytest.raises(ValueError) as sparse:
+            pairs_within(pts, 0.1)
+        assert str(sparse.value) == str(dense.value)
+        assert str(dense.value).startswith("distance (0,7) is ")
 
     @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0)])
     def test_rejects_bad_shape(self, shape):

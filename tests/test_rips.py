@@ -507,8 +507,13 @@ class TestBandTable:
         inf off the graph; m is in g's labels."""
         n = len(g.ptr) - 1
         width = g.table.size // n
+        assert g.ptr.dtype == g.nbr.dtype == np.intp
         owner = np.repeat(np.arange(n), np.diff(g.ptr))
         assert np.array_equal(g.wt, m[owner, g.nbr])
+        # each list strictly ascending, and each pair once from either end
+        assert (np.diff(g.nbr)[np.diff(owner) == 0] > 0).all()
+        edges = within(m, g.eps)
+        assert weighted_edges(g) == edges and len(g.nbr) == 2 * len(edges)
         for u in range(n):
             nb = g.nbr[g.ptr[u]:g.ptr[u + 1]]
             v, l = np.repeat(nb, len(nb)), np.tile(nb, len(nb))
