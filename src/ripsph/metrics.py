@@ -18,6 +18,11 @@ _PAIR_FLOATS = 1 << 15
 _TINY_DISTANCE = 2.0 ** -511
 # relative slack of the kd-tree radius, far above the tree's rounding
 _SLACK = 2.0 ** -40
+# cells of validate_metric's triangle buffer: 1 MiB of float64, reused for
+# every block of rows; with the block of m it sums, a pass touches 2 MiB
+# whatever the point count (a 2 MiB buffer ran 20-40% slower at n = 1,000
+# and 2,000 on a 2 MiB L2 cache)
+_CELLS = 1 << 17
 
 
 def _lengths(diff: np.ndarray) -> np.ndarray:
@@ -111,29 +116,42 @@ def validate_metric(m: np.ndarray) -> list[str]:
     inequality within 1e-9 (distances derived from one matrix share
     rounding, larger slack would mask real violations). Messages come in
     row-major order; a triangle violation (i,k) names the first j that
-    minimises d(i,j) + d(j,k).
+    minimises d(i,j) + d(j,k). Values print as Python floats, the same
+    under numpy 1 and 2.
+
+    The triangle check computes min_j m[i,j] + m[j,k] only for the pairs
+    i < k it reports: for each column k, the column is added to blocks of
+    the rows above it, in one reused buffer of at most _CELLS cells, and
+    each row is reduced along its contiguous axis. The sums are the same
+    floats as a full min-plus product, and a NaN sum hides the pair.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    violations = [f"Identity violation at ({i},{i}): {m[i, i]!r}"
+    violations = [f"Identity violation at ({i},{i}): {float(m[i, i])!r}"
                   for i in np.flatnonzero(np.diagonal(m) != 0.0)]
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    asymmetric = (m != m.T) & upper
-    nonpositive = (m <= 0.0) & upper
+    asymmetric = np.triu(m != m.T, 1)
+    nonpositive = np.triu(m <= 0.0, 1)
     for i, j in np.argwhere(asymmetric | nonpositive):
         if asymmetric[i, j]:
             violations.append(f"Symmetry violation at ({i},{j})")
         if nonpositive[i, j]:
-            violations.append(f"Positivity violation at ({i},{j}): {m[i, j]!r}")
-    # min-plus product m (x) m, one j at a time: via[i, k] = min_j m[i,j] + m[j,k]
-    via, step = np.full((n, n), np.inf), np.empty((n, n))
-    for j in range(n):
-        np.minimum(via, np.add(m[:, j, None], m[j], out=step), out=via)
-    for i, k in np.argwhere((via < np.subtract(m, TRIANGLE_TOL, out=step)) & upper):
+            violations.append(
+                f"Positivity violation at ({i},{j}): {float(m[i, j])!r}")
+    rows = max(1, _CELLS // max(1, n))
+    buf, bad = np.empty(min(rows, n) * n), []
+    for k in range(1, n):
+        col = m[:, k].copy()
+        for a in range(0, k, rows):
+            block = m[a:min(a + rows, k)]
+            # row r of sums holds m[a + r, j] + m[j, k] for every j
+            sums = np.add(block, col, out=buf[:block.size].reshape(block.shape))
+            hit = np.flatnonzero(sums.min(axis=1) < block[:, k] - TRIANGLE_TOL)
+            bad.extend((a + i, k) for i in hit)
+    for i, k in sorted(bad):
         j = int(np.argmin(m[i] + m[:, k]))
         violations.append(
-            f"Triangle violation ({i},{k}): {m[i, k]!r} > "
-            f"{m[i, j]!r} + {m[j, k]!r}")
+            f"Triangle violation ({i},{k}): {float(m[i, k])!r} > "
+            f"{float(m[i, j])!r} + {float(m[j, k])!r}")
     return violations

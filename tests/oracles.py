@@ -70,21 +70,22 @@ def naive_validate_metric(m) -> list[str]:
     violations = []
     for i in range(n):
         if m[i, i] != 0.0:
-            violations.append(f"Identity violation at ({i},{i}): {m[i, i]!r}")
+            violations.append(f"Identity violation at ({i},{i}): {float(m[i, i])!r}")
     for i in range(n):
         for j in range(i + 1, n):
             if m[i, j] != m[j, i]:
                 violations.append(f"Symmetry violation at ({i},{j})")
             if m[i, j] <= 0.0:
-                violations.append(f"Positivity violation at ({i},{j}): {m[i, j]!r}")
+                violations.append(
+                    f"Positivity violation at ({i},{j}): {float(m[i, j])!r}")
     for i in range(n):
         for k in range(i + 1, n):
             # min over intermediate j of d(i,j)+d(j,k), vectorized
             if n and np.min(m[i] + m[:, k]) < m[i, k] - TRIANGLE_TOL:
                 j = int(np.argmin(m[i] + m[:, k]))
                 violations.append(
-                    f"Triangle violation ({i},{k}): {m[i, k]!r} > "
-                    f"{m[i, j]!r} + {m[j, k]!r}")
+                    f"Triangle violation ({i},{k}): {float(m[i, k])!r} > "
+                    f"{float(m[i, j])!r} + {float(m[j, k])!r}")
     return violations
 
 

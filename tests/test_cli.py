@@ -288,6 +288,15 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_duplicate_point_prints_a_plain_float(self, tmp_path, capsys):
+        # the same bytes under numpy 1 and 2: a Python float, not np.float64
+        path = tmp_path / "dup.csv"
+        path.write_text("0,0\n0,0\n1,1\n")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == ("points: 3  dimension: 2\n"
+                                           "metric violations: 1\n"
+                                           "  Positivity violation at (0,1): 0.0\n")
+
     def test_clean_cloud(self, tmp_path, capsys):
         path, _ = circle_csv(tmp_path)
         assert main(["validate", str(path), "--threshold", "2.0",

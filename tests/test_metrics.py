@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_validate_metric
 from ripsph import metrics
@@ -162,6 +165,30 @@ class TestPairsWithin:
             pairs_within(np.zeros(shape), 1.0)
 
 
+# EDGE is the largest float d with d - 1e-9 == 2.0, ABOVE the next one
+EDGE = 2.0 + 1e-9
+ABOVE = float(np.nextafter(EDGE, math.inf))
+SPECIAL = [0.0, 0.5, 1.0, 2.0, 3.0, -1.0, math.nan, math.inf, -math.inf,
+           1e308, -1e308, EDGE, ABOVE]
+
+
+@st.composite
+def special_matrices(draw):
+    """(m, rows): m is n x n, n 0-40, of tied small values, NaN, +-inf,
+    negative entries, 1e308 (whose sums overflow) and entries at the
+    triangle tolerance, symmetric and zero on the diagonal or not; rows is
+    None or the rows per block of the triangle check, 1-3."""
+    n = draw(st.integers(0, 40))
+    values = draw(st.sampled_from([SPECIAL[:5], [1.0, 2.0, EDGE, ABOVE], SPECIAL]))
+    cells = draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n))
+    m = np.array(cells, dtype=np.float64).reshape(n, n)
+    if draw(st.booleans()):
+        m = np.triu(m, 1) + np.triu(m, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(m, draw(st.sampled_from(values)))
+    return m, draw(st.none() | st.integers(1, 3))
+
+
 class TestValidateMetric:
     def test_euclidean_matrix_passes(self):
         rng = np.random.default_rng(1)
@@ -204,17 +231,60 @@ class TestValidateMetric:
         assert got == naive_validate_metric(m)
         assert [v.split()[0] for v in got[:2]] == ["Identity", "Symmetry"]
         # (1,1) and (2,1) tie as midpoints from (0,0) to (3,2): the first wins
-        assert (f"Triangle violation (0,11): {m[0, 11]!r} > "
-                f"{m[0, 4]!r} + {m[4, 11]!r}") in got
+        assert (f"Triangle violation (0,11): {float(m[0, 11])!r} > "
+                f"{float(m[0, 4])!r} + {float(m[4, 11])!r}") in got
         assert m[0, 4] + m[4, 11] == m[0, 7] + m[7, 11]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
     def test_tied_integer_matrices_match_oracle(self, n):
-        # 150 rows span several row blocks of the min-plus product
+        # entries 0-3 tie many two-step sums: each message names the first j
         rng = np.random.default_rng(n)
         m = rng.integers(0, 4, size=(n, n)).astype(float)
         m = np.where(rng.random((n, n)) < 0.8, m.T, m)  # mostly symmetric
         assert validate_metric(m) == naive_validate_metric(m)
+
+    def test_values_print_as_python_floats(self):
+        m = np.array([[0.5, 0.0, 3.0], [0.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        assert validate_metric(m) == [
+            "Identity violation at (0,0): 0.5",
+            "Positivity violation at (0,1): 0.0",
+            "Triangle violation (0,2): 3.0 > 0.0 + 1.0"]
+
+    def test_triangle_tolerance_edge(self):
+        # d(0,1) + d(1,2) is 2.0; EDGE - 1e-9 rounds to exactly 2.0
+        assert EDGE - metrics.TRIANGLE_TOL == 2.0 < ABOVE - metrics.TRIANGLE_TOL
+        for d, flagged in ((EDGE, False), (ABOVE, True)):
+            m = np.array([[0.0, 1.0, d], [1.0, 0.0, 1.0], [d, 1.0, 0.0]])
+            assert bool(validate_metric(m)) is flagged
+            assert validate_metric(m) == naive_validate_metric(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=special_matrices())
+    def test_matches_oracle(self, case):
+        m, rows = case
+        with warnings.catch_warnings():
+            # sums of 1e308 overflow, inf - inf is NaN, as in the oracle
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = naive_validate_metric(m)
+            if rows is None:
+                assert validate_metric(m) == expected
+            else:
+                # a few rows per block: the blocks split every column
+                with mock.patch.object(metrics, "_CELLS", rows * len(m)):
+                    assert validate_metric(m) == expected
+
+    def test_memory_stays_below_one_matrix(self):
+        # the triangle check holds no n x n float temporary: only a buffer
+        # of _CELLS cells and the boolean masks of the exact checks
+        n = 600
+        m = pairwise_distances(np.random.default_rng(0).random((n, 3)))
+        tracemalloc.start()
+        try:
+            assert validate_metric(m) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.nbytes
 
 
 class TestIsometryInvariance:
