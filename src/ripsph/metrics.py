@@ -3,8 +3,6 @@ kd-tree proposes, each distance computed as in the dense matrix), and
 metric-axiom validation."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -82,19 +80,25 @@ def pairs_within(points: np.ndarray,
     the absolute error (points at x = 0 and 1e-200 are at distance 0).
 
     Raises ValueError as pairwise_distances does if a distance is not
-    finite; only when the coordinate spans are large enough for a square
-    to overflow, that check walks its rows, one at a time, keeping none.
+    finite. That check walks the distance rows, one at a time, keeping
+    none, only if the sum h^2 of the squared half spans of the bounding
+    box fails h^2 <= 2^1020. When it passes no distance can overflow: each
+    coordinate difference is at most its axis's span, so every squared
+    distance is at most (2h)^2 <= 2^1022, and the roundings of h^2 and of
+    the distance, a relative (2 dim + 5) 2^-53 at most, cannot close the
+    factor 4 below 2^1024, where floats overflow. NaN, inf - inf and a sum
+    of squares that overflows fail the test, so the tree never sees a
+    non-finite coordinate.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or 0 in pts.shape:
         raise ValueError("expected an (n, d) point cloud with n, d >= 1")
     dim = pts.shape[1]
-    # half spans cannot overflow; below the bound the sum of dim squared
-    # differences stays under 2^1022; NaN, or inf - inf, fails the test,
-    # so the tree never sees a non-finite coordinate
-    with np.errstate(invalid="ignore"):
+    # half spans cannot overflow, though their squares can
+    with np.errstate(invalid="ignore", over="ignore"):
         half_span = pts.max(axis=0) / 2 - pts.min(axis=0) / 2
-    if not half_span.max() <= 2.0 ** 510 / math.sqrt(dim):
+        h2 = (half_span ** 2).sum()
+    if not h2 <= 2.0 ** 1020:
         for _ in _rows(np.ascontiguousarray(pts)):
             pass
     r = max(eps, _TINY_DISTANCE) * (1.0 + _SLACK)

@@ -20,9 +20,12 @@ in `_Graph.cofaces`, and the top level is never stored whole:
   numpy arrays of vertex rows named by exact int64 keys. The apparent
   pairs (Bauer, "Ripser", JACT 2021), nearly every column, are decided in
   numpy one column at a time, as in Ripser++ (Zhang, Xiao and Wang, SoCG
-  2020), and add no pair; a Python loop visits the rest and builds a
-  coboundary only for the few whose first pivot is already owned. The top
-  level is cleared and tested pass by pass as it grows;
+  2020), and add no pair; a Python loop visits the rest and reduces only
+  the few whose first pivot is already owned. The coboundaries it is sure
+  to read, of the columns whose first pivot an apparent column owns or
+  another column shares and of those apparent owners, are built in one
+  batch, a numpy pass per step rows; any other is built alone when read.
+  The top level is cleared and tested pass by pass as it grows;
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
   pairs within the threshold.
@@ -249,13 +252,27 @@ class _Graph:
         latest = np.choose(np.argmax(facets, axis=0), t.T)
         return t, pd, (latest == pl) & (pd < np.inf)
 
-    def coboundary(self, s: list[int], diam: float) -> list:
-        """The cofaces of s as a sorted list of (diameter, key)."""
-        l, d = self.cofaces(np.array([s]), np.array([diam]))
-        ok = d < np.inf
-        n = len(self.ptr) - 1
-        return sorted((dd, _keys(sorted((*s, v)), n, self.span))
-                      for v, dd in zip(l[ok].tolist(), d[ok].tolist()))
+    def coboundaries(self, s: np.ndarray, diam: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cofaces of simplices s (rows of sorted vertices) of diameters
+        diam, one cofaces pass per step rows: flat arrays of their diameters
+        and keys, row i's at ptr[i]:ptr[i + 1] sorted by (diameter, key),
+        and ptr."""
+        ds, keys = [np.empty(0)], [np.empty(0, np.int64)]
+        rows = [np.empty(0, np.intp)]
+        for a in range(0, len(s), self.step):
+            part = s[a:a + self.step]
+            l, d = self.cofaces(part, diam[a:a + self.step])
+            r, c = np.nonzero(d < np.inf)
+            d = d[r, c]
+            t = np.sort(np.concatenate((part[r], l[r, c, None]), axis=1), axis=1)
+            key = self.keys(t)
+            order = np.lexsort((key, d, r))
+            ds.append(d[order])
+            keys.append(key[order])
+            rows.append(r + a)
+        ptr = np.searchsorted(np.concatenate(rows), np.arange(len(s) + 1))
+        return np.concatenate(ds), np.concatenate(keys), ptr
 
 
 def _matrix_pairs(m: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
@@ -304,8 +321,9 @@ def _keys(cols, n: int, b: int):
     return key
 
 
-def _vertices(key: int, m: int, b: int) -> list[int]:
-    """The row of m vertices whose _keys entry is key."""
+def _vertices(key, m: int, b: int) -> list:
+    """The row of m vertices whose _keys entry is key, or, for an int64
+    array of keys, the m columns of their rows, as _keys takes them."""
     v0, *rest = (key // (b + 1) ** p for p in range(m - 1, -1, -1))
     return [v0, *(v0 + r % (b + 1) for r in rest)]
 
@@ -361,10 +379,16 @@ def _cohomology(k: int, g: _Graph, parts, cleared: np.ndarray,
     cleared, in decreasing filtration order. A column that is its first
     pivot t's latest facet is apparent: no column before it holds t, so it
     owns t, and for k >= 1 it dies at birth; only its key and t's are
-    kept. The rest are sorted and visited, and one whose first pivot is
-    owned builds its coboundary and reduces it on a heap. Parts are read
-    once, so a generator level is never stored whole. Returns the sorted
-    keys of the pivots, which need no column in dimension k + 1."""
+    kept. Parts are read once, so a generator level is never stored whole.
+
+    The rest are sorted and visited, and one whose first pivot is owned
+    reduces its coboundary on a heap. The coboundaries sure to be read are
+    built in one batch before the visit: the columns whose finite first
+    pivot an apparent column owns or another column shares, and the
+    apparent owners of those pivots. Any other is built alone when read: an
+    owner met further down a reduction, or a column whose first pivot a
+    reduced column came to own. Returns the sorted keys of the pivots,
+    which need no column in dimension k + 1."""
     found = []
     for s, diam in parts:
         key = g.keys(s)
@@ -378,31 +402,57 @@ def _cohomology(k: int, g: _Graph, parts, cleared: np.ndarray,
     del found
     order = np.argsort(tops)
     tops, owners = tops[order], owners[order]
-    # pivot key -> row, diameter and reduced column ([] if none) of its owner
+    hit = _isin(t, tops)
+    finite = pd < np.inf
+    firsts = np.sort(t[finite])
+    shared = firsts[1:][firsts[1:] == firsts[:-1]]
+    read = finite & (hit | _isin(t, shared))
+    # each apparent owner of a hit pivot once, born at that pivot's diameter
+    i, first = np.unique(np.searchsorted(tops, t[read & hit]), return_index=True)
+    apparent = np.column_stack(_vertices(owners[i], k + 1, g.span))
+    cob_d, cob_key, ptr = g.coboundaries(
+        np.concatenate((s[read], apparent)),
+        np.concatenate((diam[read], pd[read & hit][first])))
+    # key of a batched column -> the bounds of its cells in cob_d and cob_key
+    batch = dict(zip(np.concatenate((key[read], owners[i])).tolist(),
+                     zip(ptr[:-1].tolist(), ptr[1:].tolist())))
+    del s, apparent, ptr
+
+    def coboundary(c: int, birth: float) -> list:
+        """The cofaces of column c, a key, born at birth, as a sorted list
+        of (diameter, key): its cells in the batch, or one built alone."""
+        if c in batch:
+            a, b = batch[c]
+            return list(zip(cob_d[a:b].tolist(), cob_key[a:b].tolist()))
+        d, key, _ = g.coboundaries(np.array([_vertices(c, k + 1, g.span)]),
+                                   np.array([birth]))
+        return list(zip(d.tolist(), key.tolist()))
+
+    # pivot key -> key, diameter and reduced column ([] if none) of its owner
     owner: dict[int, tuple] = {}
 
     def column(d: float, top: int) -> list | None:
         """The column that owns the pivot (d, top), if one does."""
         if top in owner:
-            row, birth, col = owner[top]
-            return col or g.coboundary(row, birth)
-        i = np.searchsorted(tops, top)
+            c, birth, col = owner[top]
+            return col or coboundary(c, birth)
+        i = tops.searchsorted(top)
         if i < len(tops) and tops[i] == top:  # its latest facet, at d
-            return g.coboundary(_vertices(int(owners[i]), k + 1, g.span), d)
+            return coboundary(int(owners[i]), d)
         return None
 
     order = np.lexsort((key, diam))[::-1]
-    for row, birth, top, death, hit in zip(*(x[order].tolist() for x in (
-            s, diam, t, pd, _isin(t, tops)))):
+    for c, birth, top, death, hit in zip(*(x[order].tolist() for x in (
+            key, diam, t, pd, hit))):
         col = []
         if death < math.inf and (hit or top in owner):
-            col = g.coboundary(row, birth)
+            col = coboundary(c, birth)
             while (low := _pivot(col)) and (add := column(*low)):
                 for e in add:
                     heapq.heappush(col, e)
             death, top = low or (math.inf, None)
         if death < math.inf:  # else an essential class
-            owner[top] = row, birth, col
+            owner[top] = c, birth, col
         pairs.append((k, birth, death))
     return np.sort(np.concatenate((tops, np.array(list(owner), np.int64))),
                    kind="stable")

@@ -112,7 +112,7 @@ class TestPairsWithin:
                 pairs_within(pts, 1.0)
 
     def test_wide_spans_that_do_not_overflow(self):
-        # past the span bound, yet every distance is finite
+        # past the box bound, yet every distance is finite
         pts = np.array([[0.0], [1e154], [1.25e154]])
         m = pairwise_distances(pts)
         i, j = np.triu_indices(3, 1)
@@ -121,16 +121,35 @@ class TestPairsWithin:
             assert as_triples(*pairs_within(pts, math.inf)) == as_triples(
                 i, j, m[i, j])
 
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    def test_walks_rows_only_past_the_box_bound(self, monkeypatch, dim):
+        # opposite corners of a box whose squared half spans sum to 2^1020
+        # exactly, at distance 2^511: no row is walked; a few ulps wider,
+        # the rows are walked and every distance is still finite
+        h = 2.0 ** 510 / math.sqrt(dim)
+        walked = []
+        rows = metrics._rows
+        monkeypatch.setattr(metrics, "_rows",
+                            lambda p: walked.append(len(p)) or rows(p))
+        for x, walks in ((h, False), (h * (1.0 + 2.0 ** -50), True)):
+            pts = np.array([np.full(dim, -h), np.full(dim, x)])
+            walked.clear()
+            i, j, d = pairs_within(pts, math.inf)
+            assert bool(walked) == walks
+            assert (i.tolist(), j.tolist()) == ([0], [1])
+            assert d[0] == pairwise_distances(pts)[0, 1] < math.inf
+
     @staticmethod
     def far_cloud(n, x):
-        """n uniform 3-D points, point 7 moved to the first coordinate x:
-        past the span bound, so the overflow check walks the rows."""
+        """n uniform 3-D points, point 7 moved to the first coordinate x."""
         pts = np.random.default_rng(5).uniform(size=(n, 3))
         pts[7, 0] = x
         return pts
 
     def test_far_point_walks_rows_without_the_matrix(self, monkeypatch):
-        pts = self.far_cloud(1500, 5e153)
+        # a half span of 5e153 squares past 2^1020, though no distance
+        # overflows: the check walks the rows and keeps none
+        pts = self.far_cloud(1500, 1e154)
         m = pairwise_distances(pts)
         assert m.max() < math.inf
         i, j = np.nonzero(np.triu(m <= 0.1, 1))
@@ -139,7 +158,11 @@ class TestPairsWithin:
 
         def dense(points):
             raise AssertionError("pairs_within built the n x n matrix")
+        walked = []
+        rows = metrics._rows
         monkeypatch.setattr(metrics, "pairwise_distances", dense)
+        monkeypatch.setattr(metrics, "_rows",
+                            lambda p: walked.append(len(p)) or rows(p))
         tracemalloc.start()
         try:
             got = pairs_within(pts, 0.1)
@@ -147,7 +170,22 @@ class TestPairsWithin:
         finally:
             tracemalloc.stop()
         assert as_triples(*got) == expected
+        assert walked == [1500]
         assert peak < 1500 * 1500 * 8 / 10  # a tenth of the matrix
+
+    def test_far_point_inside_the_box_bound_walks_no_row(self, monkeypatch):
+        # x = 5e153: the half spans square to about 6.25e306 <= 2^1020, so
+        # no distance can overflow and no row is read
+        pts = self.far_cloud(1500, 5e153)
+        m = pairwise_distances(pts)
+        i, j = np.nonzero(np.triu(m <= 0.1, 1))
+        expected = as_triples(i, j, m[i, j])
+        del m
+
+        def walk(points):
+            raise AssertionError("pairs_within walked the distance rows")
+        monkeypatch.setattr(metrics, "_rows", walk)
+        assert as_triples(*pairs_within(pts, 0.1)) == expected
 
     @pytest.mark.parametrize("x", [1e200, -1e200, math.nan])
     def test_far_point_error_is_the_matrix_error(self, x):

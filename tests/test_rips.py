@@ -366,13 +366,13 @@ class TestRipsPersistence:
             [PersistencePair(0, 0.0, 1.0)] * 3 + [PersistencePair(0, 0.0),
                                                   PersistencePair(1, 1.0, SQRT2)])
 
-    @pytest.mark.parametrize("cloud, calls", [
-        ("grid 4x4", 32), ("grid 3x3x2", 16), ("uniform 30", 34),
+    @pytest.mark.parametrize("cloud, rows", [
+        ("grid 4x4", 32), ("grid 3x3x2", 16), ("uniform 30", 33),
         ("circle 40", 486)])
-    def test_coboundaries_built(self, monkeypatch, cloud, calls):
-        # only columns whose first pivot is already owned build a
-        # coboundary; a broken apparent-pair shortcut changes no diagram
-        # but changes this count
+    def test_coboundaries_built(self, monkeypatch, cloud, rows):
+        # only the columns a reduction reads build a coboundary, in the
+        # batch or alone, each row counted per build; a broken apparent-pair
+        # shortcut changes no diagram but changes this count
         t = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
         pts = {"grid 4x4": np.argwhere(np.ones((4, 4))),
                "grid 3x3x2": np.argwhere(np.ones((3, 3, 2))),
@@ -380,11 +380,11 @@ class TestRipsPersistence:
                "circle 40": np.column_stack((np.cos(t), np.sin(t)))}[cloud]
         m = pairwise_distances(pts.astype(float))
         built = []
-        coboundary = _Graph.coboundary
-        monkeypatch.setattr(_Graph, "coboundary",
-                            lambda g, *a: built.append(a) or coboundary(g, *a))
+        coboundaries = _Graph.coboundaries
+        monkeypatch.setattr(_Graph, "coboundaries", lambda g, s, *a:
+                            built.append(len(s)) or coboundaries(g, s, *a))
         rips_persistence(m, 2, m.max())
-        assert len(built) == calls
+        assert sum(built) == rows
 
     def test_dimension_too_large(self):
         with pytest.raises(DimensionTooLarge):
@@ -594,8 +594,9 @@ def grid(*shape):
 
 
 class TestApparentPairs:
-    """The engine decides in numpy which columns are apparent pairs, each
-    its first pivot's latest facet, and adds no pair for them."""
+    """The engine decides in numpy which columns are apparent pairs,
+    exactly those that are their first pivot's latest facet, and adds no
+    pair for them."""
 
     SHAPES = {
         "uniform": lambda seed, n: seeded_cloud(seed, n),
@@ -638,15 +639,73 @@ class TestApparentPairs:
             d = rips_persistence(m, max_dim, t)
         for g, s, diam, tops, pd, apparent in seen:
             assert np.array_equal(diam[apparent], pd[apparent])
+            finite = pd < np.inf
+            assert not apparent[~finite].any()
             mg = m[np.ix_(g.names, g.names)]
-            for row, top in zip(s[apparent].tolist(), tops[apparent].tolist()):
-                # the latest facet by (diameter, vertex tuple), read from m
-                # in the graph's labels
+            for row, top, ap in zip(s[finite].tolist(), tops[finite].tolist(),
+                                    apparent[finite].tolist()):
+                # apparent exactly when row is the latest facet of its first
+                # pivot by (diameter, vertex tuple), read from m in the
+                # graph's labels
                 facets = [top[:p] + top[p + 1:] for p in range(len(top))]
-                assert row == max(facets, key=lambda f: (
-                    max(mg[u, v] for u in f for v in f), f))
+                assert ap == (row == max(facets, key=lambda f: (
+                    max(mg[u, v] for u in f for v in f), f)))
         assert d == reference_diagram(m, max_dim, t)
         assert cloud_persistence(pts, max_dim, t) == d
+
+
+class TestCoboundaries:
+    """_Graph.coboundaries against the matrix: the cofaces of a row s are
+    the vertices l within eps of every vertex of s, each as the largest
+    distance among s + l and the _keys of s + l sorted, in sorted order."""
+
+    CLOUDS = {
+        "integer grid 5x4": lambda: grid(5, 4),
+        "integer grid 4x3x3": lambda: grid(4, 3, 3),
+        "tied grid cloud": lambda: seeded_cloud(1, 40, grid=True),
+        "duplicated points": lambda: with_duplicates(seeded_cloud(2, 40)),
+        **TestBandTable.CLOUDS,
+    }
+
+    @staticmethod
+    def brute_force(g, m, s):
+        """Row s's cofaces in g, from m in g's labels."""
+        n = len(m)
+        out = []
+        for l in np.flatnonzero((m[s] <= g.eps).all(axis=0)).tolist():
+            if l not in s:
+                c = sorted((*s, l))
+                out.append((float(m[np.ix_(c, c)].max()),
+                            rips._keys(c, n, g.span)))
+        return sorted(out)
+
+    @staticmethod
+    def lists(d, key, ptr):
+        return [list(zip(d[a:b].tolist(), key[a:b].tolist()))
+                for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+    @pytest.mark.parametrize("cloud", CLOUDS)
+    def test_matches_the_matrix(self, cloud):
+        pts = self.CLOUDS[cloud]()
+        n = len(pts)
+        m = pairwise_distances(pts)
+        # about eight neighbours per point, and all pairs (an n x n table)
+        # on the smallest clouds
+        scales = [float(np.sort(m[np.triu_indices(n, 1)])[4 * n])]
+        if n <= 20:
+            scales.append(float(m.max()))
+        for t in scales:
+            g = _Graph(*rips._matrix_pairs(m, t), n, t)
+            mg = m[np.ix_(g.names, g.names)]
+            for level in list(rips._levels(g, [g.vertices], 2))[1:]:
+                s, diam = map(np.concatenate, zip(*level))
+                expected = [self.brute_force(g, mg, row) for row in s.tolist()]
+                assert self.lists(*g.coboundaries(s, diam)) == expected
+                g.step = 7  # many rows over several passes
+                assert self.lists(*g.coboundaries(s, diam)) == expected
+                for i in range(len(s)):
+                    assert self.lists(*g.coboundaries(s[i:i + 1], diam[i:i + 1])
+                                      ) == expected[i:i + 1]
 
 
 class TestSpanningTreeH0:
