@@ -296,7 +296,7 @@ def _stopped_graph(pairs: tuple, n: int, eps: float) -> _Graph:
     of such a vertex. The caller hands pairs over, so they are freed here."""
     i, j, d = pairs
     del pairs
-    full = np.bincount(np.concatenate((i, j)), minlength=n) == n - 1
+    full = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) == n - 1
     if full.any():
         reach = np.zeros(n)
         np.maximum.at(reach, i, d)
