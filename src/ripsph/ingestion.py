@@ -13,7 +13,6 @@ _RECORD = slice(0, 6)
 _ATOM_NAME = slice(12, 16)
 _ALTLOC = 16
 _CHAIN = 21
-_RESSEQ = slice(22, 26)
 _X = slice(30, 38)
 _Y = slice(38, 46)
 _Z = slice(46, 54)

@@ -20,11 +20,10 @@ in `_Graph.cofaces`, and the top level is never stored whole:
   numpy arrays of vertex rows named by exact int64 keys. The apparent
   pairs (Bauer, "Ripser", JACT 2021), nearly every column, are decided in
   numpy one column at a time, as in Ripser++ (Zhang, Xiao and Wang, SoCG
-  2020), and add no pair; a Python loop visits the rest and reduces only
-  the few whose first pivot is already owned. The coboundaries it is sure
-  to read, of the columns whose first pivot an apparent column owns or
-  another column shares and of those apparent owners, are built in one
-  batch, a numpy pass per step rows; any other is built alone when read.
+  2020), and add no pair; a Python loop reduces the rest, each from one
+  batch built a numpy pass per step rows: the coboundaries of those with
+  a coface and of the apparent owners of their first pivots.
+  Only an apparent owner met further down a reduction is built alone.
   The top level is cleared and tested pass by pass as it grows;
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
@@ -293,9 +292,8 @@ def _stopped_graph(pairs: tuple, n: int, eps: float) -> _Graph:
     """The graph of pairs = (i, j, d), the pairs i < j within eps and their
     distances, stopped at the enclosing radius R if R <= eps: then some
     vertex has all others within eps, and R is the least largest distance
-    of such a vertex. The caller hands pairs over, so they are freed here."""
+    of such a vertex."""
     i, j, d = pairs
-    del pairs
     full = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) == n - 1
     if full.any():
         reach = np.zeros(n)
@@ -381,14 +379,13 @@ def _cohomology(k: int, g: _Graph, parts, cleared: np.ndarray,
     owns t, and for k >= 1 it dies at birth; only its key and t's are
     kept. Parts are read once, so a generator level is never stored whole.
 
-    The rest are sorted and visited, and one whose first pivot is owned
-    reduces its coboundary on a heap. The coboundaries sure to be read are
-    built in one batch before the visit: the columns whose finite first
-    pivot an apparent column owns or another column shares, and the
-    apparent owners of those pivots. Any other is built alone when read: an
-    owner met further down a reduction, or a column whose first pivot a
-    reduced column came to own. Returns the sorted keys of the pivots,
-    which need no column in dimension k + 1."""
+    The rest are sorted and each one with a coface reduces its coboundary
+    on a heap, read from one batch built before the loop: the coboundaries
+    of these columns and of the apparent owners of their first pivots. A
+    reduced column owns its pivot and is what a later reduction adds; only
+    an apparent owner met further down a reduction is built alone. Returns
+    the sorted keys of the pivots, which need no column in dimension
+    k + 1."""
     found = []
     for s, diam in parts:
         key = g.keys(s)
@@ -402,21 +399,18 @@ def _cohomology(k: int, g: _Graph, parts, cleared: np.ndarray,
     del found
     order = np.argsort(tops)
     tops, owners = tops[order], owners[order]
-    hit = _isin(t, tops)
-    finite = pd < np.inf
-    firsts = np.sort(t[finite])
-    shared = firsts[1:][firsts[1:] == firsts[:-1]]
-    read = finite & (hit | _isin(t, shared))
+    read = pd < np.inf
+    hit = read & _isin(t, tops)
     # each apparent owner of a hit pivot once, born at that pivot's diameter
-    i, first = np.unique(np.searchsorted(tops, t[read & hit]), return_index=True)
+    i, first = np.unique(np.searchsorted(tops, t[hit]), return_index=True)
     apparent = np.column_stack(_vertices(owners[i], k + 1, g.span))
     cob_d, cob_key, ptr = g.coboundaries(
         np.concatenate((s[read], apparent)),
-        np.concatenate((diam[read], pd[read & hit][first])))
+        np.concatenate((diam[read], pd[hit][first])))
     # key of a batched column -> the bounds of its cells in cob_d and cob_key
     batch = dict(zip(np.concatenate((key[read], owners[i])).tolist(),
                      zip(ptr[:-1].tolist(), ptr[1:].tolist())))
-    del s, apparent, ptr
+    del s, t, apparent, ptr
 
     def coboundary(c: int, birth: float) -> list:
         """The cofaces of column c, a key, born at birth, as a sorted list
@@ -428,31 +422,27 @@ def _cohomology(k: int, g: _Graph, parts, cleared: np.ndarray,
                                    np.array([birth]))
         return list(zip(d.tolist(), key.tolist()))
 
-    # pivot key -> key, diameter and reduced column ([] if none) of its owner
-    owner: dict[int, tuple] = {}
+    # pivot key -> reduced column of its owner
+    owner: dict[int, list] = {}
 
     def column(d: float, top: int) -> list | None:
         """The column that owns the pivot (d, top), if one does."""
         if top in owner:
-            c, birth, col = owner[top]
-            return col or coboundary(c, birth)
+            return owner[top]
         i = tops.searchsorted(top)
         if i < len(tops) and tops[i] == top:  # its latest facet, at d
             return coboundary(int(owners[i]), d)
         return None
 
     order = np.lexsort((key, diam))[::-1]
-    for c, birth, top, death, hit in zip(*(x[order].tolist() for x in (
-            key, diam, t, pd, hit))):
-        col = []
-        if death < math.inf and (hit or top in owner):
-            col = coboundary(c, birth)
-            while (low := _pivot(col)) and (add := column(*low)):
-                for e in add:
-                    heapq.heappush(col, e)
-            death, top = low or (math.inf, None)
-        if death < math.inf:  # else an essential class
-            owner[top] = c, birth, col
+    for c, birth, death in zip(*(x[order].tolist() for x in (key, diam, pd))):
+        col = coboundary(c, birth) if death < math.inf else []
+        while (low := _pivot(col)) and (add := column(*low)):
+            for e in add:
+                heapq.heappush(col, e)
+        death, top = low or (math.inf, None)
+        if low:  # else an essential class
+            owner[top] = col
         pairs.append((k, birth, death))
     return np.sort(np.concatenate((tops, np.array(list(owner), np.int64))),
                    kind="stable")

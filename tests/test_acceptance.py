@@ -234,6 +234,14 @@ def test_paper_shaped_double_helix_run(tmp_path):
     full = rips_persistence(small, 2, top)
     assert PersistenceDiagram(p for p in full if p.dimension <= 1) == reference
     assert reference.in_dimension(1)
+    # H2 referee: the boundary reduction at max_dim 2 on a 36-point helix,
+    # 66,711 filtration entries
+    small = pairwise_distances(double_helix(36, seed=0))
+    top = float(small.max())
+    reference = persistence_diagram(build_rips(small, RipsParams(2, top)),
+                                    max_dim=2)
+    assert rips_persistence(small, 2, top) == reference
+    assert reference.in_dimension(2)
     print(f"\nPAPER-SHAPED RUN: PASS (111-point double helix, H0-H2, "
           f"{elapsed:.2f} s)")
 

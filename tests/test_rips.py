@@ -367,12 +367,14 @@ class TestRipsPersistence:
                                                   PersistencePair(1, 1.0, SQRT2)])
 
     @pytest.mark.parametrize("cloud, rows", [
-        ("grid 4x4", 32), ("grid 3x3x2", 16), ("uniform 30", 33),
+        ("grid 4x4", 41), ("grid 3x3x2", 32), ("uniform 30", 63),
         ("circle 40", 486)])
     def test_coboundaries_built(self, monkeypatch, cloud, rows):
-        # only the columns a reduction reads build a coboundary, in the
-        # batch or alone, each row counted per build; a broken apparent-pair
-        # shortcut changes no diagram but changes this count
+        # only the columns a reduction reads build a coboundary, each row
+        # counted per build: every non-apparent column with a coface and the
+        # apparent owners of their first pivots in the batch, and an apparent
+        # owner met further down a reduction alone; a broken apparent-pair
+        # test changes no diagram but changes this count
         t = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
         pts = {"grid 4x4": np.argwhere(np.ones((4, 4))),
                "grid 3x3x2": np.argwhere(np.ones((3, 3, 2))),
@@ -385,6 +387,34 @@ class TestRipsPersistence:
                             built.append(len(s)) or coboundaries(g, s, *a))
         rips_persistence(m, 2, m.max())
         assert sum(built) == rows
+
+    @pytest.mark.parametrize("seed, n", [(5, 100), (1, 200)])
+    def test_no_reduced_column_built_alone(self, monkeypatch, seed, n):
+        # every column the loop reduces reads its coboundary from the batch:
+        # a one-row build is only ever an apparent owner met further down a
+        # reduction, never a row that the first-pivot pass found
+        # non-apparent
+        m = pairwise_distances(np.random.default_rng(seed).uniform(size=(n, 3)))
+        t = float(np.sort(m[np.triu_indices(n, 1)])[4 * n])
+        reduced, alone = set(), []
+        first_pivots, coboundaries = _Graph.first_pivots, _Graph.coboundaries
+
+        def record(g, s, diam):
+            out = first_pivots(g, s, diam)
+            reduced.update(map(tuple, s[~out[2]].tolist()))
+            return out
+
+        def build(g, s, diam):
+            if len(s) == 1:
+                alone.append(tuple(s[0].tolist()))
+            return coboundaries(g, s, diam)
+
+        monkeypatch.setattr(_Graph, "first_pivots", record)
+        monkeypatch.setattr(_Graph, "coboundaries", build)
+        d = rips_persistence(m, 1, t)
+        assert reduced
+        assert not reduced.intersection(alone)
+        assert d == reference_diagram(m, 1, t)
 
     def test_dimension_too_large(self):
         with pytest.raises(DimensionTooLarge):
