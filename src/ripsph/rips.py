@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -288,12 +289,13 @@ def _matrix_pairs(m: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
     return i, j, m[i, j]
 
 
-def _stopped_graph(pairs: tuple, n: int, eps: float) -> _Graph:
-    """The graph of pairs = (i, j, d), the pairs i < j within eps and their
-    distances, stopped at the enclosing radius R if R <= eps: then some
-    vertex has all others within eps, and R is the least largest distance
-    of such a vertex."""
-    i, j, d = pairs
+def _stopped_graph(pairs: Callable[[], tuple], n: int, eps: float) -> _Graph:
+    """The graph of pairs() = (i, j, d), the pairs i < j within eps and
+    their distances, stopped at the enclosing radius R if R <= eps: then
+    some vertex has all others within eps, and R is the least largest
+    distance of such a vertex. Only these locals hold the pairs, so the
+    ones cut at R are freed before _Graph is built."""
+    i, j, d = pairs()
     full = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) == n - 1
     if full.any():
         reach = np.zeros(n)
@@ -460,7 +462,7 @@ def rips_persistence(m: np.ndarray, max_dim: int,
     """
     RipsParams(max_dim, threshold)  # checks both
     m = _checked(m, max_dim)
-    g = _stopped_graph(_matrix_pairs(m, threshold), len(m), threshold)
+    g = _stopped_graph(lambda: _matrix_pairs(m, threshold), len(m), threshold)
     return _diagram(g, max_dim)
 
 
@@ -472,7 +474,8 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
     """
     RipsParams(max_dim, threshold)  # checks both
     _check_dimension(max_dim, len(points))
-    g = _stopped_graph(pairs_within(points, threshold), len(points), threshold)
+    g = _stopped_graph(lambda: pairs_within(points, threshold), len(points),
+                       threshold)
     return _diagram(g, max_dim)
 
 

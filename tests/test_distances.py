@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from oracles import exhaustive_bottleneck, exhaustive_wasserstein
+from ripsph import distances
 from ripsph.core import PersistenceDiagram, PersistencePair
 from ripsph.distances import _covers, bottleneck_distance, wasserstein_distance
 from ripsph.metrics import pairwise_distances
@@ -285,6 +286,111 @@ class TestAugmentedDifferential:
         assert bottleneck_distance(b, a, 1) == augmented_bottleneck(fb, fa)
         assert wasserstein_distance(a, b, 1) == pytest.approx(
             augmented_wasserstein(fa, fb), abs=1e-9)
+
+
+def finite_points(d):
+    """The diagram's finite points as rows, in its own (birth-sorted) order."""
+    return np.column_stack((d.births, d.deaths))
+
+
+def equal_mean_pair(rng, n):
+    """Two integer diagrams of n points with the same persistences, each
+    point of b a point of a moved by an integer: exact half persistences
+    whose means over a power-of-two n are equal bit for bit."""
+    birth = rng.integers(0, 12, n).astype(np.float64)
+    fa = np.column_stack((birth, birth + rng.integers(0, 8, n)))
+    return fa, fa + rng.integers(-2, 3, n)[:, None]
+
+
+class TestAssignmentOrder:
+    """The savings go to scipy with the shorter side as rows (scipy
+    transposes a tall matrix itself), of two equal sides the less
+    persistent one."""
+
+    def received(self, monkeypatch, a, b):
+        seen = []
+
+        def spy(cost):
+            seen.append(cost.copy())
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(distances, "linear_sum_assignment", spy)
+        wasserstein_distance(a, b, 1)
+        (cost,) = seen
+        return cost
+
+    @staticmethod
+    def savings(a, b):
+        """The savings of matching each point of diagram a (rows) with each
+        of diagram b, in the module's own arithmetic, bit for bit."""
+        pa, pb = finite_points(a), finite_points(b)
+        linf = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+        ha, hb = ((p[:, 1] - p[:, 0]) / 2.0 for p in (pa, pb))
+        return np.minimum(linf - ha[:, None] - hb, 0.0)
+
+    def test_less_persistent_side_is_the_rows(self, monkeypatch):
+        """b, the jittered copy with a tenth of its points short-lived, is
+        the rows."""
+        fa, fb = jittered_pair(np.random.default_rng([0, 13]), 200)
+        a, b = diagram(fa.tolist()), diagram(fb.tolist())
+        assert (fb[:, 1] - fb[:, 0]).sum() < (fa[:, 1] - fa[:, 0]).sum()
+        cost = self.received(monkeypatch, a, b)
+        np.testing.assert_array_equal(cost, self.savings(a, b).T)
+
+    @pytest.mark.parametrize("n, m", [(60, 90), (90, 60), (64, 64)],
+                             ids=["a shorter", "b shorter", "equal means"])
+    def test_a_is_the_rows_unless_b_is_less_persistent(self, monkeypatch, n, m):
+        """Of sides of unequal length scipy gets a's as rows and inserts the
+        shorter side's; of equal means, a's are the rows."""
+        rng = np.random.default_rng([n, m, 14])
+        if n == m:
+            fa, fb = equal_mean_pair(rng, n)
+        else:
+            fa, fb = jittered_pair(rng, max(n, m))
+            fa, fb = fa[:n], fb[:m]
+        a, b = diagram(fa.tolist()), diagram(fb.tolist())
+        cost = self.received(monkeypatch, a, b)
+        np.testing.assert_array_equal(cost, self.savings(a, b))
+
+
+def assert_symmetric_and_augmented(fa, fb):
+    """Both argument orders give the same value bit for bit on these seeded
+    pairs (not guaranteed in general: the two orders round the savings
+    differently), and it is the diagonal-augmented assignment's within
+    1e-9."""
+    a, b = diagram(fa.tolist()), diagram(fb.tolist())
+    w = wasserstein_distance(a, b, 1)
+    assert wasserstein_distance(b, a, 1) == w
+    assert w == pytest.approx(augmented_wasserstein(fa.reshape(-1, 2), fb.reshape(-1, 2)),
+                              abs=1e-9)
+
+
+class TestOrderDifferential:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", ["a less persistent", "b less persistent",
+                                      "equal means", "n < m", "n > m"])
+    def test_symmetric_and_equals_augmented(self, case, seed):
+        rng = np.random.default_rng([seed, 15])
+        n = int(rng.integers(40, 161))
+        if case == "equal means":
+            fa, fb = equal_mean_pair(rng, 64)
+        else:
+            fa, fb = jittered_pair(rng, n)
+            if case == "a less persistent":
+                fa, fb = fb, fa
+            elif case == "n < m":
+                fa = fa[:n // 2]
+            elif case == "n > m":
+                fb = fb[:n // 2]
+        assert_symmetric_and_augmented(fa, fb)
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("m", range(4))
+    def test_short_sides(self, n, m):
+        rng = np.random.default_rng([n, m, 16])
+        for _ in range(10):
+            fa, fb = (np.sort(rng.uniform(0.0, 2.0, (k, 2)), axis=1) for k in (n, m))
+            assert_symmetric_and_augmented(fa, fb)
 
 
 @st.composite

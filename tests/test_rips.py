@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -479,6 +480,31 @@ class TestCloudPersistence:
             assert by_points.eps == by_matrix.eps == min(t, r)
             for g in by_matrix, by_points:
                 assert weighted_edges(g) == within(m[np.ix_(g.names, g.names)], g.eps)
+
+    @pytest.mark.parametrize("source", ["pairs_within", "_matrix_pairs"])
+    def test_cut_pairs_freed_before_the_graph(self, monkeypatch, source):
+        """Stopped at the enclosing radius, the pairs within the threshold
+        are gone when _Graph is built: only the kept copies reach it."""
+        pts = np.random.default_rng(0).random((300, 3))
+        made, alive = [], []
+        produce, init = getattr(rips, source), _Graph.__init__
+
+        def pairs(*args):
+            out = produce(*args)
+            made.extend(weakref.ref(x) for x in out)
+            return out
+
+        def build(g, *args):
+            alive.extend(r() is not None for r in made)
+            init(g, *args)
+
+        monkeypatch.setattr(rips, source, pairs)
+        monkeypatch.setattr(_Graph, "__init__", build)
+        if source == "pairs_within":
+            cloud_persistence(pts, 0, math.inf)
+        else:
+            rips_persistence(pairwise_distances(pts), 0, math.inf)
+        assert len(made) == 3 and alive == [False] * 3
 
     def test_unit_square(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
