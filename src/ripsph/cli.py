@@ -20,7 +20,7 @@ from .persistence import (betti_at_scale, read_diagram_csv,
                           significant_features, write_diagram_csv)
 from .render import (RenderOptions, render_barcode_svg, render_diagram_svg,
                      write_betti_table)
-from .rips import _clique_counts, cloud_persistence, rips_persistence
+from .rips import _counts_and_diagram, cloud_persistence
 from .distances import bottleneck_distance, wasserstein_distance
 
 EXIT_PARSE = 2
@@ -110,8 +110,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     matrix = pairwise_distances(points)
     violations = validate_metric(matrix)
     k = args.max_dimension
-    if args.threshold is not None:  # may raise DimensionTooLarge: no output yet
-        counts = _clique_counts(matrix, k + 1, args.threshold)
+    if args.threshold is not None:  # may raise: nothing printed yet
+        counts, diagram = _counts_and_diagram(matrix, k, args.threshold)
     print(f"points: {points.shape[0]}  dimension: {points.shape[1]}")
     print(f"metric violations: {len(violations)}")
     for v in violations:
@@ -120,7 +120,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"filtration entries: {sum(counts)}")
         # a clique complex holds every face of each of its cliques: closed
         print("complex violations: 0")
-        diagram = rips_persistence(matrix, k, args.threshold)
         print(write_betti_table(betti_at_scale(diagram, args.threshold, max_dim=k)), end="")
     return 0
 

@@ -6,9 +6,10 @@ at the largest pairwise distance among its vertices. Callers working in
 the radius convention double their threshold before calling in.
 
 All paths share one clique walk, `_levels` (Zomorodian, "Fast construction
-of the Vietoris-Rips complex", 2010): each level, edges included, grows
-unsorted from the one below by `_Graph.grow`, which reads every diameter
-in `_Graph.cofaces`, and the top level is never stored whole:
+of the Vietoris-Rips complex", 2010): the edges are the graph's own CSR
+cells, each level above grows unsorted from the one below by
+`_Graph.grow`, which reads every diameter in `_Graph.cofaces`, and the top
+level is never stored whole:
 
 - `build_rips` lists every simplex as a `Filtration` entry, the general
   path that `persistence_diagram` reduces and that tests use as referee;
@@ -27,7 +28,8 @@ in `_Graph.cofaces`, and the top level is never stored whole:
   The top level is cleared and tested pass by pass as it grows;
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
-  pairs within the threshold.
+  pairs within the threshold;
+- `_counts_and_diagram` counts and reduces one graph for `ripsph validate`.
 
 Both diagram entries stop their pairs at the enclosing radius, found from
 the pairs alone. `_Graph` is built from one list of weighted pairs i < j,
@@ -101,9 +103,9 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     is read into the result; all of m is checked.
     """
     m = _checked(m, params.max_dimension)
-    g = _Graph(*_matrix_pairs(m, params.threshold), len(m), params.threshold)
-    entries = []
-    for level in _levels(g, [g.vertices], params.max_dimension + 1):
+    g = _Graph(*_matrix_pairs(m, params.threshold), len(m))
+    entries = [(Simplex._canonical((v,)), 0.0) for v in range(len(m))]
+    for level in _levels(g, params.max_dimension):
         for s, diam in level:
             s = np.sort(g.names[s], axis=1)  # in m's vertices
             # share one float per distinct scale of a part, not per entry
@@ -115,20 +117,26 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     return Filtration(entries)
 
 
-def _clique_counts(m: np.ndarray, top: int, threshold: float) -> list[int]:
-    """Simplices per dimension 0..top of build_rips(m, RipsParams(top - 1,
-    threshold)), with no Simplex made: each level of _levels is counted
-    unsorted, so memory peaks at the level below the top."""
-    m = _checked(m, top - 1)
-    g = _Graph(*_matrix_pairs(m, threshold), len(m), threshold)
-    return [sum(len(s) for s, _ in level) for level in _levels(g, [g.vertices], top)]
+def _counts_and_diagram(m: np.ndarray, max_dim: int, threshold: float
+                        ) -> tuple[list[int], PersistenceDiagram]:
+    """ripsph validate's report of the clique filtration of m up to
+    threshold, from one graph, not stopped at the enclosing radius as the
+    counts cover the whole filtration: the simplices per dimension
+    0..max_dim + 1 of build_rips(m, RipsParams(max_dim, threshold)), with
+    no Simplex made, and rips_persistence(m, max_dim, threshold)."""
+    m = _checked(m, max_dim)
+    g = _Graph(*_matrix_pairs(m, threshold), len(m))
+    counts = [len(m)] + [sum(len(s) for s, _ in level)
+                         for level in _levels(g, max_dim)]
+    return counts, _diagram(g, max_dim)
 
 
-def _levels(g: _Graph, level: list, above: int):
-    """level, a list of parts (vertex rows, diameters) of g, then the above
-    levels grown from it, each from the one before, pass by pass through
-    g.grow. Every level but the last is a list; the last is a generator of
+def _levels(g: _Graph, above: int):
+    """The edge level of g, then the above levels grown from it, each from
+    the one before, pass by pass through g.grow. Every level but the last
+    is a list of parts (vertex rows, diameters); the last is a generator of
     parts, never stored whole."""
+    level = [g.edges]
     yield level
     for k in range(above):
         level = (part for p in level for part in g.grow(*p))
@@ -153,10 +161,10 @@ def enclosing_radius(m: np.ndarray) -> float:
 
 
 class _Graph:
-    """The neighbourhood graph of the pairs i < j of weights w at scale
-    eps, one scipy CSR array over labels of its own: names[v] is the
-    caller's vertex of label v, its neighbours, ascending, are the array's
-    indices nbr[ptr[v]:ptr[v + 1]], and wt, its data, holds their weights.
+    """The neighbourhood graph of the pairs i < j of weights w, one scipy
+    CSR array over labels of its own: names[v] is the caller's vertex of
+    label v, its neighbours, ascending, are the array's indices
+    nbr[ptr[v]:ptr[v + 1]], and wt, its data, holds their weights.
 
     Every other weight is read from table, a band owned by the graph: vertex
     v's row holds width = min(n, 4b + 3) columns, with b the largest label
@@ -167,10 +175,10 @@ class _Graph:
     the reverse Cuthill-McKee order of the array (Cuthill and McKee, 1969),
     keep b small. If a vertex has all others as neighbours, any labelling
     has b >= (n - 1) / 2: the input order is kept and the table is n x n.
-    vertices, the one-vertex rows at diameter 0, starts every clique walk."""
+    edges, the cells (v, l) with l > v in the array's order and their
+    weights, starts every clique walk."""
 
-    def __init__(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int,
-                 eps: float):
+    def __init__(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int):
         a = csr_array((np.tile(w, 2), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
         self.names = np.arange(n)
         if (np.diff(a.indptr) < n - 1).all():
@@ -187,40 +195,39 @@ class _Graph:
         self.off = v * width - np.clip(v - 2 * b - 1, 0, n - width)
         self.table = np.full(n * width, np.inf)
         self.table[self.off[u] + self.nbr] = self.wt
-        self.eps = eps
+        up = self.nbr > u
+        self.edges = np.column_stack((u[up], self.nbr[up])), self.wt[up]
         self.span = b
         # simplices per numpy pass, so that no pass exceeds _CELLS cells
         self.step = max(1, _CELLS // max(1, int(np.diff(self.ptr).max())))
-        self.vertices = v[:, None], np.zeros(n)
 
-    def cofaces(self, s: np.ndarray,
-                diam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For simplices s (rows of sorted vertices) of diameters diam: the
-        candidate added vertices l, padded rows of the first vertex's
-        neighbours, and the diameter of each s + l, inf where s + l is
-        not a simplex of the graph."""
-        first = s[:, 0]
-        start, end = self.ptr[first], self.ptr[first + 1]
-        pos = np.arange(int((end - start).max(initial=0)))
-        # a padded cell repeats the first vertex's last neighbour, which
-        # keeps it in every row's band; an isolated first vertex, at the
-        # vertex level only, reads the cell before its empty list
-        at = np.minimum(start[:, None] + pos, end[:, None] - 1)
-        l, d = self.nbr[at], self.wt[at]
-        np.maximum(d, diam[:, None], out=d)
-        d[pos >= (end - start)[:, None]] = np.inf
-        for v in s[:, 1:].T:  # at, no longer needed, holds the cells
-            cells = np.add(self.off[v][:, None], l, out=at)
-            np.maximum(d, self.table[cells], out=d)
-        return l, d
-
-    def grow(self, s: np.ndarray, diam: np.ndarray):
-        """Per pass over step rows part of s: the simplices one dimension up
-        grown from part, each from its face without its largest vertex so
-        that each clique is made once, and their diameters."""
+    def cofaces(self, s: np.ndarray, diam: np.ndarray):
+        """Per pass over step rows part of s, simplices (rows of two or more
+        sorted vertices) of diameters diam, from row a: (a, part, l, d), l
+        the candidate added vertices, padded rows of the first vertex's
+        neighbours, and d the diameter of each part + l, inf where part + l
+        is not a simplex of the graph."""
         for a in range(0, len(s), self.step):
             part = s[a:a + self.step]
-            l, d = self.cofaces(part, diam[a:a + self.step])
+            start, end = self.ptr[part[:, 0]], self.ptr[part[:, 0] + 1]
+            pos = np.arange(int((end - start).max()))
+            # a padded cell repeats the first vertex's last neighbour, which
+            # keeps it in every row's band
+            at = np.minimum(start[:, None] + pos, end[:, None] - 1)
+            l, d = self.nbr[at], self.wt[at]
+            np.maximum(d, diam[a:a + self.step, None], out=d)
+            d[pos >= (end - start)[:, None]] = np.inf
+            for v in part[:, 1:].T:  # at, no longer needed, holds the cells
+                cells = np.add(self.off[v][:, None], l, out=at)
+                np.maximum(d, self.table[cells], out=d)
+            del at, cells  # not held while the pass is consumed
+            yield a, part, l, d
+
+    def grow(self, s: np.ndarray, diam: np.ndarray):
+        """Per cofaces pass: the simplices one dimension up grown from its
+        rows, each from its face without its largest vertex so that each
+        clique is made once, and their diameters."""
+        for _, part, l, d in self.cofaces(s, diam):
             r, c = np.nonzero((l > part[:, -1:]) & (d < np.inf))
             yield np.column_stack((part[r], l[r, c])), d[r, c]
 
@@ -238,12 +245,9 @@ class _Graph:
         facets of largest diameter, read from t's pairs in the table."""
         pd = np.full(len(s), np.inf)
         pl = np.zeros(len(s), np.intp)
-        for a in range(0, len(s), self.step):
-            l, d = self.cofaces(s[a:a + self.step], diam[a:a + self.step])
-            if d.shape[1]:
-                j = d.argmin(axis=1)
-                rows = np.arange(len(j))
-                pd[a:a + len(j)], pl[a:a + len(j)] = d[rows, j], l[rows, j]
+        for a, _, l, d in self.cofaces(s, diam):
+            rows, j = np.arange(len(d)), d.argmin(axis=1)
+            pd[a:a + len(j)], pl[a:a + len(j)] = d[rows, j], l[rows, j]
         t = np.sort(np.column_stack((s, pl)), axis=1)
         w = {(u, v): self.table[self.off[t[:, u]] + t[:, v]]
              for u, v in combinations(range(t.shape[1]), 2)}
@@ -260,9 +264,7 @@ class _Graph:
         and ptr."""
         ds, keys = [np.empty(0)], [np.empty(0, np.int64)]
         rows = [np.empty(0, np.intp)]
-        for a in range(0, len(s), self.step):
-            part = s[a:a + self.step]
-            l, d = self.cofaces(part, diam[a:a + self.step])
+        for a, part, l, d in self.cofaces(s, diam):
             r, c = np.nonzero(d < np.inf)
             d = d[r, c]
             t = np.sort(np.concatenate((part[r], l[r, c, None]), axis=1), axis=1)
@@ -301,10 +303,9 @@ def _stopped_graph(pairs: Callable[[], tuple], n: int, eps: float) -> _Graph:
         reach = np.zeros(n)
         np.maximum.at(reach, i, d)
         np.maximum.at(reach, j, d)
-        eps = min(eps, float(reach[full].min()))
-        keep = d <= eps
+        keep = d <= min(eps, float(reach[full].min()))
         i, j, d = i[keep], j[keep], d[keep]
-    return _Graph(i, j, d, n, eps)
+    return _Graph(i, j, d, n)
 
 
 def _keys(cols, n: int, b: int):
@@ -481,12 +482,11 @@ def cloud_persistence(points: np.ndarray, max_dim: int,
 
 def _diagram(g: _Graph, max_dim: int) -> PersistenceDiagram:
     """H0 to H_max_dim of the clique filtration of g, by a spanning tree and
-    cohomology with clearing: the edges are grown once and held whole for
-    H0 and H1, and _levels grows the levels above from them."""
+    cohomology with clearing: H0 and H1 read g.edges, and _levels grows
+    the levels above from them."""
     pairs: list[tuple[int, float, float]] = []
-    s, diam = map(np.concatenate, zip(*g.grow(*g.vertices)))
-    h0, cleared = _h0(g, s, diam)
-    for k, level in zip(range(1, max_dim + 1), _levels(g, [(s, diam)], max_dim - 1)):
+    h0, cleared = _h0(g, *g.edges)
+    for k, level in zip(range(1, max_dim + 1), _levels(g, max_dim - 1)):
         cleared = _cohomology(k, g, level, cleared, pairs)
     k, b, d = np.array(pairs, np.float64).reshape(-1, 3).T  # exact: small ints
     zeros = np.zeros(len(h0))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ripsph import cli
+from ripsph import cli, rips
 from ripsph.cli import main
 from ripsph.core import PersistencePair
 from ripsph.homology import betti_numbers
@@ -63,17 +63,22 @@ class TestRun:
         path, _ = circle_csv(tmp_path, n=3)
         assert main(["run", str(path), "--max-dimension", "5"]) == 3
 
+    @pytest.mark.parametrize("argv, engine", [
+        (["run"], "cloud_persistence"),
+        # validate's engine runs before any line of its report is printed
+        (["validate", "--threshold", "1.5"], "_counts_and_diagram")],
+        ids=["run", "validate"])
     @pytest.mark.parametrize("message, shown", [
         ("", "allocation failed"),
         ("Unable to allocate 2.98 GiB for an array with shape (20000, 20000) "
          "and data type float64", "Unable to allocate 2.98 GiB")])
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch,
-                                   message, shown):
+                                   message, shown, argv, engine):
         def too_large(*args):
             raise MemoryError(message)
-        monkeypatch.setattr(cli, "cloud_persistence", too_large)
+        monkeypatch.setattr(cli, engine, too_large)
         path, _ = circle_csv(tmp_path)
-        assert main(["run", str(path)]) == 3
+        assert main([argv[0], str(path), *argv[1:]]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: out of memory: {shown}")
@@ -236,6 +241,17 @@ def test_bad_configuration_exits_3_before_output(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_coordinates_exit_2(tmp_path, capsys, command, value):
+    path = tmp_path / "cloud.csv"
+    path.write_text(f"0,0\n1,{value}\n1,1\n")
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: point cloud contains NaN or infinite coordinates\n"
+
+
 class TestPdbExtract:
     def test_writes_csv(self, tmp_path):
         path = pdb_file(tmp_path, n=10)
@@ -247,6 +263,16 @@ class TestPdbExtract:
         path = pdb_file(tmp_path, n=3)
         assert main(["pdb-extract", str(path)]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_nan_coordinate_exits_2(self, tmp_path, capsys):
+        path = pdb_file(tmp_path, n=3)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:30] + f"{math.nan:8.3f}" + lines[1][38:]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["pdb-extract", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: point cloud contains NaN or infinite coordinates\n"
 
 
 class TestValidate:
@@ -287,6 +313,19 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_one_graph_for_counts_and_betti_numbers(self, tmp_path, capsys,
+                                                     monkeypatch):
+        built = []
+        init = rips._Graph.__init__
+        monkeypatch.setattr(rips._Graph, "__init__",
+                            lambda g, *args: built.append(g) or init(g, *args))
+        path, _ = circle_csv(tmp_path, n=12)
+        # above the enclosing radius 2, where the graph is not stopped
+        assert main(["validate", str(path), "--threshold", "3",
+                     "--max-dimension", "2"]) == 0
+        assert len(built) == 1
+        assert capsys.readouterr().out.endswith("     1       0       0\n")
 
     def test_duplicate_point_prints_a_plain_float(self, tmp_path, capsys):
         # the same bytes under numpy 1 and 2: a Python float, not np.float64

@@ -194,6 +194,10 @@ class TestChain:
         b = Chain(1, [Simplex((1, 2)), Simplex((2, 3))])
         assert (a + b).simplices == frozenset({Simplex((0, 1)), Simplex((2, 3))})
 
+    def test_addition_across_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="different dimensions"):
+            Chain(1, [Simplex((0, 1))]) + Chain(0, [Simplex((0,))])
+
 
 class TestFiltration:
     def test_sorted_by_scale_then_dim_then_lex(self):

@@ -93,6 +93,10 @@ class TestBoundaryMatrix:
         m = build_boundary_matrix(SimplicialComplex(simplices), 2)
         assert m.shape == (11, 2)
 
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="start at k = 1"):
+            build_boundary_matrix(hexagon_complex(), 0)
+
     def test_absent_dimension_gives_empty_matrix(self):
         c = hexagon_complex()
         m = build_boundary_matrix(c, 2)
@@ -266,3 +270,18 @@ class TestCyclesAndHomology:
         with pytest.raises(NotACycle):
             are_homologous(Chain(1, [Simplex((0, 1))]), Chain(1),
                            hexagon_complex())
+
+    def test_rejects_non_cycle_second_chain(self):
+        with pytest.raises(NotACycle, match="second chain"):
+            are_homologous(Chain(1), Chain(1, [Simplex((0, 1))]),
+                           hexagon_complex())
+
+    def test_rejects_chains_of_different_dimensions(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            are_homologous(hexagon_cycle(), Chain(0, [Simplex((0,))]),
+                           hexagon_complex())
+
+    def test_rejects_simplex_outside_the_complex(self):
+        triangle = SimplicialComplex.from_maximal([Simplex((0, 1, 2))])
+        with pytest.raises(ValueError, match="is not a simplex of the complex"):
+            are_homologous(hexagon_cycle(), Chain(1), triangle)

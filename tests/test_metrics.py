@@ -42,6 +42,11 @@ class TestPairwiseDistances:
         assert np.array_equal(d.view(np.int64),
                               pairwise_distances(pts[:, ::-1])[i, j].view(np.int64))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3,)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, d\) point cloud with n >= 1"):
+            pairwise_distances(np.zeros(shape))
+
     def test_overflow_rejected(self):
         # finite coordinates whose squared difference overflows to inf
         with pytest.raises(ValueError, match=r"distance \(0,1\) is inf"):

@@ -53,6 +53,11 @@ class TestReduce:
             (0, 0.0, 1.0), (0, 0.0, 1.0), (0, 0.0, 1.0), (0, 0.0, math.inf),
             (1, 1.0, SQRT2)]
 
+    def test_max_dim_drops_finite_pairs_above_it(self):
+        # the square's loop [1, sqrt 2) is a finite H1 pair, cut at max_dim 0
+        d = persistence_diagram(unit_square_filtration(), max_dim=0)
+        assert as_multiset(d) == [(0, 0.0, 1.0)] * 3 + [(0, 0.0, math.inf)]
+
     def test_hexagon_on_circle(self):
         angles = np.linspace(0, 2 * np.pi, 6, endpoint=False)
         pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)

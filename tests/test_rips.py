@@ -15,7 +15,7 @@ from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
 from ripsph.persistence import persistence_diagram
 from ripsph import rips
-from ripsph.rips import (RipsParams, _clique_counts, _Graph, build_rips,
+from ripsph.rips import (RipsParams, _counts_and_diagram, _Graph, build_rips,
                          cloud_persistence, complex_at_scale, enclosing_radius,
                          rips_persistence)
 
@@ -182,8 +182,9 @@ class TestComplexAtScale:
 
 
 class TestCliqueCounts:
-    """_clique_counts against the listed filtration it stands in for in
-    ripsph validate, and the closure that lets validate print 0."""
+    """_counts_and_diagram against the listed filtration and the diagram
+    entries it stands in for in ripsph validate, and the closure that lets
+    validate print 0."""
 
     @staticmethod
     def cloud(kind):
@@ -203,24 +204,29 @@ class TestCliqueCounts:
             f = build_rips(m, RipsParams(k, t))
             c = complex_at_scale(f, t)
             counts = c.counts() + [0] * (k + 2 - len(c.counts()))
-            assert _clique_counts(m, k + 1, t) == counts
+            got, diagram = _counts_and_diagram(m, k, t)
+            assert got == counts
             assert sum(counts) == len(f)
             assert validate_complex(c) == []
+            # above R from a graph not stopped there
+            assert diagram == rips_persistence(m, k, t) == reference_diagram(m, k, t)
 
     def test_checks_its_input_first(self):
         with pytest.raises(DimensionTooLarge):
-            _clique_counts(unit_square_matrix(), 4, 2.0)
+            _counts_and_diagram(unit_square_matrix(), 3, 2.0)
         m = unit_square_matrix().copy()
         m[0, 1] = m[1, 0] = math.inf
         with pytest.raises(ValueError, match="finite"):
-            _clique_counts(m, 1, 2.0)
+            _counts_and_diagram(m, 0, 2.0)
 
 
 class TestLevels:
-    """build_rips, _clique_counts and the diagram engine grow each level
-    below their top once and never the top: a level grown twice would
-    change no output, only the time. The rows passed to _Graph.grow are
-    counted by their width, the level's dimension + 1."""
+    """build_rips, the counts of _counts_and_diagram and the diagram engine
+    grow each level from the edges up once below their top and never the
+    top: a level grown twice would change no output, only the time. No
+    vertex row is grown, as the edges are read from the graph. The rows
+    passed to _Graph.grow are counted by their width, the level's
+    dimension + 1."""
 
     @pytest.fixture
     def grown(self, monkeypatch):
@@ -235,21 +241,29 @@ class TestLevels:
 
     @staticmethod
     def assert_grown_once(rows, counts):
-        """Width w grown by counts[w - 1] rows for w = 1..len(counts), and
-        no wider level grown."""
-        assert set(rows) <= set(range(1, len(counts) + 1))
-        assert [rows.get(w, 0) for w in range(1, len(counts) + 1)] == counts
+        """Width w grown by counts[w - 1] rows for w = 2..len(counts), and
+        no vertex row (width 1) nor wider level grown."""
+        assert set(rows) <= set(range(2, len(counts) + 1))
+        assert [rows.get(w, 0) for w in range(2, len(counts) + 1)] == counts[1:]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("where", ["half", "at", "inf"])
-    def test_build_rips_and_clique_counts(self, grown, seed, where):
+    def test_build_rips_and_clique_counts(self, grown, monkeypatch, seed,
+                                          where):
+        # the counts' walk, then the diagram's on the same graph
         m = pairwise_distances(seeded_cloud(seed, 9, grid=seed % 2 == 1))
         r = enclosing_radius(m)
         t = {"half": 0.5 * r, "at": r, "inf": math.inf}[where]
+        graphs = []
+        diagram = rips._diagram
+        monkeypatch.setattr(rips, "_diagram", lambda g, k: graphs.append(g))
         for k in range(3):
             grown.clear()
-            counts = _clique_counts(m, k + 1, t)
+            counts = _counts_and_diagram(m, k, t)[0]
             self.assert_grown_once(grown, counts[:-1])
+            grown.clear()
+            diagram(graphs[-1], k)
+            self.assert_grown_once(grown, counts[:-2])
             grown.clear()
             assert len(build_rips(m, RipsParams(k, t))) == sum(counts)
             self.assert_grown_once(grown, counts[:-1])
@@ -257,13 +271,13 @@ class TestLevels:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("max_dim", [0, 1, 2, 3])
     def test_diagram_never_grows_its_top(self, grown, seed, max_dim):
-        # below the top level, the vertices grow the edges once and each
-        # level above the edges grows once, in the graph stopped at R
+        # below the top level, each level from the edges up grows once, in
+        # the graph stopped at R
         pts = seeded_cloud(seed, 10, grid=seed % 2 == 1)
         m = pairwise_distances(pts)
         r = enclosing_radius(m)
         for t in (0.5 * r, math.inf):
-            counts = _clique_counts(m, max(max_dim, 1), min(t, r))[:-1]
+            counts = _counts_and_diagram(m, max_dim, min(t, r))[0][:max_dim]
             for entry, data in ((rips_persistence, m), (cloud_persistence, pts)):
                 grown.clear()
                 entry(data, max_dim, t)
@@ -476,10 +490,9 @@ class TestCloudPersistence:
         for t in (0.5 * r, r, float(m.max()), math.inf):
             rips_persistence(m, 1, t)
             cloud_persistence(pts, 1, t)
-            by_matrix, by_points = graphs[-2:]
-            assert by_points.eps == by_matrix.eps == min(t, r)
-            for g in by_matrix, by_points:
-                assert weighted_edges(g) == within(m[np.ix_(g.names, g.names)], g.eps)
+            for g in graphs[-2:]:
+                assert weighted_edges(g) == within(m[np.ix_(g.names, g.names)],
+                                                   min(t, r))
 
     @pytest.mark.parametrize("source", ["pairs_within", "_matrix_pairs"])
     def test_cut_pairs_freed_before_the_graph(self, monkeypatch, source):
@@ -557,10 +570,11 @@ class TestBandTable:
     }
 
     @staticmethod
-    def check_band(g, m):
+    def check_band(g, m, eps):
         """Every cell cofaces can read, table[off[v] + l] for two neighbours
         v and l of one vertex, is in row v and holds the weight of (v, l),
-        inf off the graph; m is in g's labels."""
+        inf off the graph of the pairs of m within eps; m is in g's
+        labels."""
         n = len(g.ptr) - 1
         width = g.table.size // n
         assert g.ptr.dtype == g.nbr.dtype == np.intp
@@ -568,14 +582,19 @@ class TestBandTable:
         assert np.array_equal(g.wt, m[owner, g.nbr])
         # each list strictly ascending, and each pair once from either end
         assert (np.diff(g.nbr)[np.diff(owner) == 0] > 0).all()
-        edges = within(m, g.eps)
+        edges = within(m, eps)
         assert weighted_edges(g) == edges and len(g.nbr) == 2 * len(edges)
+        # the edge level: each pair once, as a row u < l, in row order
+        s, diam = g.edges
+        assert set(zip(*s.T.tolist(), diam.tolist())) == edges and len(s) == len(edges)
+        assert (s[:, 0] < s[:, 1]).all()
+        assert np.array_equal(np.lexsort(s.T[::-1]), np.arange(len(s)))
         for u in range(n):
             nb = g.nbr[g.ptr[u]:g.ptr[u + 1]]
             v, l = np.repeat(nb, len(nb)), np.tile(nb, len(nb))
             cell = g.off[v] + l
             assert ((v * width <= cell) & (cell < (v + 1) * width)).all()
-            weight = np.where((m[v, l] <= g.eps) & (v != l), m[v, l], np.inf)
+            weight = np.where((m[v, l] <= eps) & (v != l), m[v, l], np.inf)
             assert np.array_equal(g.table[cell], weight)
 
     @pytest.mark.parametrize("cloud", CLOUDS)
@@ -599,7 +618,7 @@ class TestBandTable:
             d = cloud_persistence(pts, max_dim, t)
             assert d == rips_persistence(m, max_dim, t), t
             for g in graphs[-2:]:  # the points entry's, then the matrix's
-                self.check_band(g, m[np.ix_(g.names, g.names)])
+                self.check_band(g, m[np.ix_(g.names, g.names)], min(t, r))
                 b = int(np.abs(g.nbr - np.repeat(np.arange(n), np.diff(g.ptr))).max())
                 if t < r / 2:
                     # the band layout was taken
@@ -724,11 +743,12 @@ class TestCoboundaries:
     }
 
     @staticmethod
-    def brute_force(g, m, s):
-        """Row s's cofaces in g, from m in g's labels."""
+    def brute_force(g, m, s, eps):
+        """Row s's cofaces in g, the graph of the pairs of m within eps,
+        from m in g's labels."""
         n = len(m)
         out = []
-        for l in np.flatnonzero((m[s] <= g.eps).all(axis=0)).tolist():
+        for l in np.flatnonzero((m[s] <= eps).all(axis=0)).tolist():
             if l not in s:
                 c = sorted((*s, l))
                 out.append((float(m[np.ix_(c, c)].max()),
@@ -751,11 +771,11 @@ class TestCoboundaries:
         if n <= 20:
             scales.append(float(m.max()))
         for t in scales:
-            g = _Graph(*rips._matrix_pairs(m, t), n, t)
+            g = _Graph(*rips._matrix_pairs(m, t), n)
             mg = m[np.ix_(g.names, g.names)]
-            for level in list(rips._levels(g, [g.vertices], 2))[1:]:
+            for level in rips._levels(g, 1):
                 s, diam = map(np.concatenate, zip(*level))
-                expected = [self.brute_force(g, mg, row) for row in s.tolist()]
+                expected = [self.brute_force(g, mg, row, t) for row in s.tolist()]
                 assert self.lists(*g.coboundaries(s, diam)) == expected
                 g.step = 7  # many rows over several passes
                 assert self.lists(*g.coboundaries(s, diam)) == expected
@@ -783,8 +803,8 @@ class TestSpanningTreeH0:
         t = {"zero": 0.0, "inf": math.inf,
              "few edges": float(dists[len(dists) // 4]) if len(dists) else 0.0,
              "near": float(dists[len(m) - 1]) if len(dists) >= len(m) else 0.0}[scale]
-        g = _Graph(*rips._matrix_pairs(m, t), len(m), t)
-        s, diam = map(np.concatenate, zip(*g.grow(*g.vertices)))
+        g = _Graph(*rips._matrix_pairs(m, t), len(m))
+        s, diam = g.edges
         deaths, keys = rips._h0(g, s, diam)
 
         parent = list(range(len(m)))
