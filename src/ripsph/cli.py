@@ -20,7 +20,7 @@ from .persistence import (betti_at_scale, read_diagram_csv,
                           significant_features, write_diagram_csv)
 from .render import (RenderOptions, render_barcode_svg, render_diagram_svg,
                      write_betti_table)
-from .rips import _counts_and_diagram, cloud_persistence
+from .rips import _counts_and_betti, cloud_persistence
 from .distances import bottleneck_distance, wasserstein_distance
 
 EXIT_PARSE = 2
@@ -109,9 +109,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     points = _load_points(args.input, args.format, args.chain)
     matrix = pairwise_distances(points)
     violations = validate_metric(matrix)
-    k = args.max_dimension
     if args.threshold is not None:  # may raise: nothing printed yet
-        counts, diagram = _counts_and_diagram(matrix, k, args.threshold)
+        counts, betti = _counts_and_betti(matrix, args.max_dimension, args.threshold)
     print(f"points: {points.shape[0]}  dimension: {points.shape[1]}")
     print(f"metric violations: {len(violations)}")
     for v in violations:
@@ -120,7 +119,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"filtration entries: {sum(counts)}")
         # a clique complex holds every face of each of its cliques: closed
         print("complex violations: 0")
-        print(write_betti_table(betti_at_scale(diagram, args.threshold, max_dim=k)), end="")
+        print(write_betti_table(betti), end="")
     return 0
 
 

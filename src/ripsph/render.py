@@ -43,15 +43,15 @@ def _frame(d: PersistenceDiagram, o: RenderOptions) -> tuple:
     opening elements (svg tag, background, x-axis).
 
     The cap is positive and lies beyond every finite birth and death (by
-    default 1.05 times the largest, or 1.0 when that is 0), so it bounds
-    both axes and an essential class always runs rightwards, or upwards, to
-    it.
+    default 1.05 times the largest, or 1.0 when that is not positive), so
+    it bounds both axes and an essential class always runs rightwards, or
+    upwards, to it.
     """
     if len(d) == 0:
         raise EmptyDiagram("cannot render an empty diagram")
     # death >= birth, so a pair's largest finite value is its death if finite
     top = float(np.where(np.isinf(d.deaths), d.births, d.deaths).max())
-    cap = o.cap if o.cap is not None else (1.05 * top if top else 1.0)
+    cap = o.cap if o.cap is not None else (1.05 * top if top > 0 else 1.0)
     if not max(top, 0.0) < cap < math.inf:  # also rejects NaN
         raise ValueError("cap must be finite, positive and exceed every finite "
                          "birth and death")

@@ -29,7 +29,7 @@ level is never stored whole:
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
   pairs within the threshold;
-- `_counts_and_diagram` counts and reduces one graph for `ripsph validate`.
+- `_counts_and_betti` counts one graph for `ripsph validate`, reducing no cone.
 
 Both diagram entries stop their pairs at the enclosing radius, found from
 the pairs alone. `_Graph` is built from one list of weighted pairs i < j,
@@ -52,6 +52,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree, reverse_cuthill_mckee
 from .core import Filtration, PersistenceDiagram, Simplex, SimplicialComplex
 from .errors import DimensionTooLarge, NotSquare
 from .metrics import pairs_within
+from .persistence import betti_at_scale
 
 # candidate cells per numpy pass of rips_persistence: each float64
 # temporary of a pass holds at most 2 MiB, whatever the point count
@@ -117,18 +118,21 @@ def build_rips(m: np.ndarray, params: RipsParams) -> Filtration:
     return Filtration(entries)
 
 
-def _counts_and_diagram(m: np.ndarray, max_dim: int, threshold: float
-                        ) -> tuple[list[int], PersistenceDiagram]:
+def _counts_and_betti(m: np.ndarray, max_dim: int, threshold: float
+                      ) -> tuple[list[int], tuple[int, ...]]:
     """ripsph validate's report of the clique filtration of m up to
-    threshold, from one graph, not stopped at the enclosing radius as the
-    counts cover the whole filtration: the simplices per dimension
-    0..max_dim + 1 of build_rips(m, RipsParams(max_dim, threshold)), with
-    no Simplex made, and rips_persistence(m, max_dim, threshold)."""
+    threshold, from one graph: the simplices per dimension 0..max_dim + 1
+    of build_rips(m, RipsParams(max_dim, threshold)), with no Simplex
+    made, and its Betti numbers at threshold. If a vertex reaches all
+    others, the complex is a cone on it and nothing is reduced; else the
+    graph is the one rips_persistence stops at the enclosing radius."""
     m = _checked(m, max_dim)
     g = _Graph(*_matrix_pairs(m, threshold), len(m))
     counts = [len(m)] + [sum(len(s) for s, _ in level)
                          for level in _levels(g, max_dim)]
-    return counts, _diagram(g, max_dim)
+    if (np.diff(g.ptr) == len(m) - 1).any():
+        return counts, (1,) + (0,) * max_dim
+    return counts, betti_at_scale(_diagram(g, max_dim), threshold, max_dim=max_dim)
 
 
 def _levels(g: _Graph, above: int):

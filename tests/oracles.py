@@ -229,7 +229,7 @@ def _per_pair_frame(d, o):
     if len(d) == 0:
         raise EmptyDiagram("cannot render an empty diagram")
     top = max(p.birth if p.is_essential else p.death for p in d)
-    cap = o.cap if o.cap is not None else (1.05 * top if top else 1.0)
+    cap = o.cap if o.cap is not None else (1.05 * top if top > 0 else 1.0)
     if not max(top, 0.0) < cap < math.inf:
         raise ValueError("cap must be finite, positive and exceed every finite "
                          "birth and death")

@@ -66,7 +66,7 @@ class TestRun:
     @pytest.mark.parametrize("argv, engine", [
         (["run"], "cloud_persistence"),
         # validate's engine runs before any line of its report is printed
-        (["validate", "--threshold", "1.5"], "_counts_and_diagram")],
+        (["validate", "--threshold", "1.5"], "_counts_and_betti")],
         ids=["run", "validate"])
     @pytest.mark.parametrize("message, shown", [
         ("", "allocation failed"),
@@ -320,11 +320,14 @@ class TestValidate:
         init = rips._Graph.__init__
         monkeypatch.setattr(rips._Graph, "__init__",
                             lambda g, *args: built.append(g) or init(g, *args))
+        reduced = []
+        monkeypatch.setattr(rips, "_diagram", lambda *args: reduced.append(args))
         path, _ = circle_csv(tmp_path, n=12)
-        # above the enclosing radius 2, where the graph is not stopped
+        # above the enclosing radius 2: one graph, a cone, counted and not
+        # reduced
         assert main(["validate", str(path), "--threshold", "3",
                      "--max-dimension", "2"]) == 0
-        assert len(built) == 1
+        assert len(built) == 1 and reduced == []
         assert capsys.readouterr().out.endswith("     1       0       0\n")
 
     def test_duplicate_point_prints_a_plain_float(self, tmp_path, capsys):

@@ -123,6 +123,17 @@ class TestCapBoundsEveryValue:
             with pytest.raises(ValueError, match="cap must be finite, positive"):
                 render(d, RenderOptions(cap=cap))
 
+    @pytest.mark.parametrize("pair", [PersistencePair(1, -2.0, -1.0),
+                                      PersistencePair(1, -2.0, math.inf)],
+                             ids=["finite", "essential"])
+    def test_default_cap_is_one_below_zero(self, pair):
+        # every finite value below 0: the default cap is 1.0, not 1.05 times
+        # a negative largest value
+        d = PersistenceDiagram([pair])
+        for render in (render_barcode_svg, render_diagram_svg):
+            svg = render(d, RenderOptions())
+            assert svg == render(d, RenderOptions(cap=1.0))
+
 
 class TestBettiTable:
     def test_circle_row(self):

@@ -13,9 +13,10 @@ from ripsph.core import (Filtration, PersistenceDiagram, PersistencePair,
                          Simplex, validate_complex)
 from ripsph.errors import DimensionTooLarge, NotSquare
 from ripsph.metrics import pairwise_distances
-from ripsph.persistence import persistence_diagram
+from ripsph.homology import betti_numbers
+from ripsph.persistence import betti_at_scale, persistence_diagram
 from ripsph import rips
-from ripsph.rips import (RipsParams, _counts_and_diagram, _Graph, build_rips,
+from ripsph.rips import (RipsParams, _counts_and_betti, _Graph, build_rips,
                          cloud_persistence, complex_at_scale, enclosing_radius,
                          rips_persistence)
 
@@ -182,9 +183,9 @@ class TestComplexAtScale:
 
 
 class TestCliqueCounts:
-    """_counts_and_diagram against the listed filtration and the diagram
-    entries it stands in for in ripsph validate, and the closure that lets
-    validate print 0."""
+    """_counts_and_betti against the listed filtration, the static
+    homology of its complex and the Betti numbers of the diagram it stands
+    in for in ripsph validate, and the closure that lets validate print 0."""
 
     @staticmethod
     def cloud(kind):
@@ -204,24 +205,29 @@ class TestCliqueCounts:
             f = build_rips(m, RipsParams(k, t))
             c = complex_at_scale(f, t)
             counts = c.counts() + [0] * (k + 2 - len(c.counts()))
-            got, diagram = _counts_and_diagram(m, k, t)
+            got, betti = _counts_and_betti(m, k, t)
             assert got == counts
             assert sum(counts) == len(f)
             assert validate_complex(c) == []
-            # above R from a graph not stopped there
-            assert diagram == rips_persistence(m, k, t) == reference_diagram(m, k, t)
+            assert betti == betti_numbers(c, k) == betti_at_scale(
+                reference_diagram(m, k, t), t, max_dim=k)
+            if where in ("at", "above", "inf"):  # a cone
+                assert betti == (1,) + (0,) * k
+            if where == "inf":  # every subset of at most k + 2 points
+                n = len(m)
+                assert sum(got) == sum(math.comb(n, j) for j in range(1, k + 3))
 
     def test_checks_its_input_first(self):
         with pytest.raises(DimensionTooLarge):
-            _counts_and_diagram(unit_square_matrix(), 3, 2.0)
+            _counts_and_betti(unit_square_matrix(), 3, 2.0)
         m = unit_square_matrix().copy()
         m[0, 1] = m[1, 0] = math.inf
         with pytest.raises(ValueError, match="finite"):
-            _counts_and_diagram(m, 0, 2.0)
+            _counts_and_betti(m, 0, 2.0)
 
 
 class TestLevels:
-    """build_rips, the counts of _counts_and_diagram and the diagram engine
+    """build_rips, the counts of _counts_and_betti and the diagram engine
     grow each level from the edges up once below their top and never the
     top: a level grown twice would change no output, only the time. No
     vertex row is grown, as the edges are read from the graph. The rows
@@ -250,20 +256,35 @@ class TestLevels:
     @pytest.mark.parametrize("where", ["half", "at", "inf"])
     def test_build_rips_and_clique_counts(self, grown, monkeypatch, seed,
                                           where):
-        # the counts' walk, then the diagram's on the same graph
+        # the counts' walk, then, below R only, the diagram's on the same
+        # graph: at or above R the graph is a cone and is not reduced
         m = pairwise_distances(seeded_cloud(seed, 9, grid=seed % 2 == 1))
         r = enclosing_radius(m)
         t = {"half": 0.5 * r, "at": r, "inf": math.inf}[where]
-        graphs = []
-        diagram = rips._diagram
-        monkeypatch.setattr(rips, "_diagram", lambda g, k: graphs.append(g))
+        built, calls = [], []
+        init, diagram = _Graph.__init__, rips._diagram
+        monkeypatch.setattr(_Graph, "__init__",
+                            lambda g, *args: built.append(g) or init(g, *args))
+
+        def traced(g, k):
+            calls.append((g, dict(grown)))  # the rows the counts' walk grew
+            grown.clear()
+            return diagram(g, k)
+        monkeypatch.setattr(rips, "_diagram", traced)
         for k in range(3):
+            built.clear()
+            calls.clear()
             grown.clear()
-            counts = _counts_and_diagram(m, k, t)[0]
-            self.assert_grown_once(grown, counts[:-1])
-            grown.clear()
-            diagram(graphs[-1], k)
-            self.assert_grown_once(grown, counts[:-2])
+            counts = _counts_and_betti(m, k, t)[0]
+            assert len(built) == 1
+            if where == "half":
+                [(g, walk)] = calls
+                assert g is built[0]
+                self.assert_grown_once(walk, counts[:-1])
+                self.assert_grown_once(grown, counts[:-2])
+            else:
+                assert calls == []
+                self.assert_grown_once(grown, counts[:-1])
             grown.clear()
             assert len(build_rips(m, RipsParams(k, t))) == sum(counts)
             self.assert_grown_once(grown, counts[:-1])
@@ -277,7 +298,7 @@ class TestLevels:
         m = pairwise_distances(pts)
         r = enclosing_radius(m)
         for t in (0.5 * r, math.inf):
-            counts = _counts_and_diagram(m, max_dim, min(t, r))[0][:max_dim]
+            counts = _counts_and_betti(m, max_dim, min(t, r))[0][:max_dim]
             for entry, data in ((rips_persistence, m), (cloud_persistence, pts)):
                 grown.clear()
                 entry(data, max_dim, t)
