@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import DimensionTooLarge, RipsphError
 from .ingestion import load_csv, parse_pdb, write_csv
-from .metrics import pairwise_distances, validate_metric
+from .metrics import _cloud_violations, pairwise_distances
 from .persistence import (betti_at_scale, read_diagram_csv,
                           significant_features, write_diagram_csv)
 from .render import (RenderOptions, render_barcode_svg, render_diagram_svg,
@@ -108,7 +108,7 @@ def _cmd_pdb_extract(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     points = _load_points(args.input, args.format, args.chain)
     matrix = pairwise_distances(points)
-    violations = validate_metric(matrix)
+    violations = _cloud_violations(points, matrix)
     if args.threshold is not None:  # may raise: nothing printed yet
         counts, betti = _counts_and_betti(matrix, args.max_dimension, args.threshold)
     print(f"points: {points.shape[0]}  dimension: {points.shape[1]}")

@@ -122,17 +122,41 @@ def validate_metric(m: np.ndarray) -> list[str]:
     row-major order; a triangle violation (i,k) names the first j that
     minimises d(i,j) + d(j,k). Values print as Python floats, the same
     under numpy 1 and 2.
-
-    The triangle check computes min_j m[i,j] + m[j,k] only for the pairs
-    i < k it reports: for each column k, the column is added to blocks of
-    the rows above it, in one reused buffer of at most _CELLS cells, and
-    each row is reduced along its contiguous axis. The sums are the same
-    floats as a full min-plus product, and a NaN sum hides the pair.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    return _pair_violations(m) + _triangle_violations(m)
+
+
+def _cloud_violations(points: np.ndarray, m: np.ndarray) -> list[str]:
+    """validate_metric(m) for m = pairwise_distances(points), with the
+    O(n^3) triangle scan run only if rounding could make it flag a pair.
+
+    With u = 2^-53 and d the coordinates per point, each entry of m is
+    r (1 + rho) + alpha, r the exact distance of the two points. The d
+    coordinate differences, their squares and their sum, in any order,
+    carry a relative error of at most (d + 2) u, and the square root
+    halves it and adds u: |rho| <= (d + 4) u / 2 to first order. Squares
+    that go subnormal or to zero move the sum by at most d 2^-1075, so
+    alpha <= sqrt(d) 2^-537, and 3 alpha < 2^-500 for any d below 2^70
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2002, 3.1).
+    The exact distances obey the triangle inequality, so
+    m[i,k] - m[i,j] - m[j,k] <= (d + 4) u max(m) + 3 alpha, and the scan's
+    two roundings, of m[i,j] + m[j,k] and of m[i,k] - TRIANGLE_TOL, add at
+    most 3 u max(m). A pair is flagged only if that total, (d + 7) u max(m)
+    + 3 alpha to first order, exceeds TRIANGLE_TOL; the test below allows
+    (d + 8) 2^-50 max(m) + 2^-500, over 8 times the first term, so when it
+    holds no pair can be flagged and the scan is skipped."""
+    violations = _pair_violations(m)
+    if not (points.shape[1] + 8) * 2.0 ** -50 * m.max() + 2.0 ** -500 < TRIANGLE_TOL:
+        violations += _triangle_violations(m)
+    return violations
+
+
+def _pair_violations(m: np.ndarray) -> list[str]:
+    """The identity, symmetry and positivity messages of validate_metric
+    for a square float64 m, each entry compared exactly."""
     violations = [f"Identity violation at ({i},{i}): {float(m[i, i])!r}"
                   for i in np.flatnonzero(np.diagonal(m) != 0.0)]
     asymmetric = np.triu(m != m.T, 1)
@@ -143,6 +167,19 @@ def validate_metric(m: np.ndarray) -> list[str]:
         if nonpositive[i, j]:
             violations.append(
                 f"Positivity violation at ({i},{j}): {float(m[i, j])!r}")
+    return violations
+
+
+def _triangle_violations(m: np.ndarray) -> list[str]:
+    """The triangle messages of validate_metric for a square float64 m.
+
+    min_j m[i,j] + m[j,k] is computed only for the pairs i < k it reports:
+    for each column k, the column is added to blocks of the rows above it,
+    in one reused buffer of at most _CELLS cells, and each row is reduced
+    along its contiguous axis. The sums are the same floats as a full
+    min-plus product, and a NaN sum hides the pair.
+    """
+    n = m.shape[0]
     rows = max(1, _CELLS // max(1, n))
     buf, bad = np.empty(min(rows, n) * n), []
     for k in range(1, n):
@@ -153,6 +190,7 @@ def validate_metric(m: np.ndarray) -> list[str]:
             sums = np.add(block, col, out=buf[:block.size].reshape(block.shape))
             hit = np.flatnonzero(sums.min(axis=1) < block[:, k] - TRIANGLE_TOL)
             bad.extend((a + i, k) for i in hit)
+    violations = []
     for i, k in sorted(bad):
         j = int(np.argmin(m[i] + m[:, k]))
         violations.append(

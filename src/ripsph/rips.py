@@ -5,11 +5,11 @@ Scale values use the edge-length (diameter) convention: a simplex enters
 at the largest pairwise distance among its vertices. Callers working in
 the radius convention double their threshold before calling in.
 
-All paths share one clique walk, `_levels` (Zomorodian, "Fast construction
-of the Vietoris-Rips complex", 2010): the edges are the graph's own CSR
-cells, each level above grows unsorted from the one below by
-`_Graph.grow`, which reads every diameter in `_Graph.cofaces`, and the top
-level is never stored whole:
+The listing paths share one clique walk, `_levels` (Zomorodian, "Fast
+construction of the Vietoris-Rips complex", 2010): the edges are the
+graph's own CSR cells, each level above grows unsorted from the one below
+by `_Graph.grow`, which reads every diameter in `_Graph.cofaces`, and the
+top level is never stored whole:
 
 - `build_rips` lists every simplex as a `Filtration` entry, the general
   path that `persistence_diagram` reduces and that tests use as referee;
@@ -29,7 +29,9 @@ level is never stored whole:
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
   pairs within the threshold;
-- `_counts_and_betti` counts one graph for `ripsph validate`, reducing no cone.
+- `_counts_and_betti` counts one graph for `ripsph validate`, reducing no
+  cone. Its counts walk no level: `_clique_counts` ANDs bitsets of the
+  neighbours above each first vertex, and the top level is a popcount.
 
 Both diagram entries stop their pairs at the enclosing radius, found from
 the pairs alone. `_Graph` is built from one list of weighted pairs i < j,
@@ -57,6 +59,8 @@ from .persistence import betti_at_scale
 # candidate cells per numpy pass of rips_persistence: each float64
 # temporary of a pass holds at most 2 MiB, whatever the point count
 _CELLS = 1 << 18
+# set bits of each byte: np.bitwise_count needs numpy 2
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 @dataclass(frozen=True)
@@ -122,17 +126,68 @@ def _counts_and_betti(m: np.ndarray, max_dim: int, threshold: float
                       ) -> tuple[list[int], tuple[int, ...]]:
     """ripsph validate's report of the clique filtration of m up to
     threshold, from one graph: the simplices per dimension 0..max_dim + 1
-    of build_rips(m, RipsParams(max_dim, threshold)), with no Simplex
-    made, and its Betti numbers at threshold. If a vertex reaches all
-    others, the complex is a cone on it and nothing is reduced; else the
-    graph is the one rips_persistence stops at the enclosing radius."""
+    of build_rips(m, RipsParams(max_dim, threshold)), counted by
+    _clique_counts, and its Betti numbers at threshold. If a vertex reaches
+    all others, the complex is a cone on it and nothing is reduced; else
+    the graph is the one rips_persistence stops at the enclosing radius."""
     m = _checked(m, max_dim)
     g = _Graph(*_matrix_pairs(m, threshold), len(m))
-    counts = [len(m)] + [sum(len(s) for s, _ in level)
-                         for level in _levels(g, max_dim)]
+    counts = _clique_counts(g, max_dim + 1)
     if (np.diff(g.ptr) == len(m) - 1).any():
         return counts, (1,) + (0,) * max_dim
     return counts, betti_at_scale(_diagram(g, max_dim), threshold, max_dim=max_dim)
+
+
+def _clique_counts(g: _Graph, top: int) -> list[int]:
+    """The cliques of g with 1..top + 1 vertices, top >= 1, the simplices
+    per dimension 0..top of its clique complex, counted exactly by first
+    vertex (Chiba and Nishizeki, "Arboricity and subgraph listing
+    algorithms", SIAM J. Comput. 1985) with no level above the edges grown
+    by _Graph.grow.
+
+    F(v) is v's neighbours above v, the tail of its CSR list. The cliques
+    whose least vertex is v are v and the cliques of the subgraph induced
+    on F(v), whose adjacency is read from the table as a bitset, bit y of
+    row x set for the neighbours y > x of x in F(v). Each row x1 < ... < xj
+    of a level extends by the set bits of the AND of rows x1..xj, all
+    above xj, so each clique is made once: the levels below the top are
+    listed from their set bits and the top is only counted, a popcount.
+    The first vertices with |F(v)| >= 2 go in batches, largest |F(v)|
+    first, each of at most _CELLS // |F(v)|^max(2, top - 1) of them: the
+    adjacency of a batch and each level it unpacks hold at most _CELLS
+    cells unless the batch is one vertex."""
+    n = len(g.ptr) - 1
+    counts = [n, len(g.edges[1])] + [0] * (top - 1)
+    if top < 2:
+        return counts
+    up = np.bincount(g.edges[0][:, 0], minlength=n)  # |F(v)|
+    first = np.flatnonzero(up >= 2)
+    first = first[np.argsort(-up[first])]
+    a = 0
+    while a < len(first):
+        width = int(up[first[a]])
+        v = first[a:a + max(1, _CELLS // width ** max(2, top - 1))]
+        a += len(v)
+        # F(v) as rows padded by their last vertex, which stays in the band
+        pos = np.arange(width)
+        end, size = g.ptr[v + 1][:, None], up[v][:, None]
+        f = g.nbr[np.minimum(end - size + pos, end - 1)]
+        adj = g.table[g.off[f][:, :, None] + f[:, None, :]] < np.inf
+        adj &= (pos[:, None] < pos) & (pos < size)[:, None, :]
+        bits = np.packbits(adj, axis=2)
+        # rows of the level: the batch row, then vertices of F(v) by position
+        rows = np.argwhere(pos < size)
+        for k in range(2, top + 1):
+            meet = bits[rows[:, 0], rows[:, 1]]
+            for x in rows[:, 2:].T:
+                meet &= bits[rows[:, 0], x]
+            if k == top:
+                counts[k] += int(_POPCOUNT[meet].sum(dtype=np.int64))
+            else:
+                r, y = np.nonzero(np.unpackbits(meet, axis=1, count=width))
+                rows = np.column_stack((rows[r], y))
+                counts[k] += len(rows)
+    return counts
 
 
 def _levels(g: _Graph, above: int):

@@ -330,6 +330,55 @@ class TestValidateMetric:
         assert peak <= m.nbytes
 
 
+class TestCloudViolations:
+    """_cloud_violations(p, pairwise_distances(p)) skips the triangle scan
+    only where its rounding bound shows the scan would flag no pair: it
+    returns validate_metric's messages for every cloud."""
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_validate_metric(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in 10.0 ** np.arange(-6, 13):
+            for shape in ("uniform", "line", "duplicates"):
+                n = int(rng.integers(2, 20))
+                p = rng.normal(size=(n, dim))
+                if shape == "line":  # collinear up to noise far below scale
+                    p = (rng.random((n, 1)) * p[0]
+                         + rng.normal(0.0, 1e-9, (n, dim)))
+                if shape == "duplicates":
+                    p = np.concatenate((p, p[:(n + 1) // 2]))
+                p = (p + rng.normal(size=dim)) * scale
+                m = pairwise_distances(p)
+                got = metrics._cloud_violations(p, m)
+                assert got == validate_metric(m)
+                if shape == "duplicates":
+                    assert f"Positivity violation at (0,{n}): 0.0" in got
+
+    def test_rounding_violation_is_reported(self):
+        # nearly collinear at 1e7: the distances' rounding alone makes the
+        # scan flag pairs, and the bound must not skip it
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.random(12))
+        p = np.column_stack((t, 0.37 * t + rng.normal(0.0, 1e-9, 12), 0.11 * t))
+        p = p * 1e7 + rng.random(3)
+        m = pairwise_distances(p)
+        expected = validate_metric(m)
+        assert expected and all(v.startswith("Triangle") for v in expected)
+        assert metrics._cloud_violations(p, m) == expected
+
+    @pytest.mark.parametrize("scale, scanned", [(1.0, False), (1e4, False),
+                                                (1e5, True), (1e12, True)])
+    def test_scan_runs_only_past_the_bound(self, scale, scanned):
+        # 3-D points in the unit cube: the bound clears a largest distance
+        # below about 1.02e5, not the cube scaled by 1e5
+        p = np.random.default_rng(0).random((50, 3)) * scale
+        m = pairwise_distances(p)
+        with mock.patch.object(metrics, "_triangle_violations",
+                               wraps=metrics._triangle_violations) as scan:
+            assert metrics._cloud_violations(p, m) == []
+        assert scan.called is scanned
+
+
 class TestIsometryInvariance:
     def test_translation_and_rotation(self):
         rng = np.random.default_rng(2)

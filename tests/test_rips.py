@@ -201,7 +201,7 @@ class TestCliqueCounts:
         r = enclosing_radius(m)
         t = {"zero": 0.0, "below": float(np.nextafter(r, 0.0)), "at": r,
              "above": 1.5 * r, "inf": math.inf}[where]
-        for k in range(3):
+        for k in range(4):
             f = build_rips(m, RipsParams(k, t))
             c = complex_at_scale(f, t)
             counts = c.counts() + [0] * (k + 2 - len(c.counts()))
@@ -215,7 +215,22 @@ class TestCliqueCounts:
                 assert betti == (1,) + (0,) * k
             if where == "inf":  # every subset of at most k + 2 points
                 n = len(m)
-                assert sum(got) == sum(math.comb(n, j) for j in range(1, k + 3))
+                assert got == [math.comb(n, j) for j in range(1, k + 3)]
+
+    def test_batches_change_no_count(self, monkeypatch):
+        # one first vertex per batch, a few, or all of them: the counts of
+        # the listed filtration, up to five vertices
+        cases = []
+        for seed in range(3):
+            m = pairwise_distances(seeded_cloud(seed, 16, grid=seed == 1))
+            for t in (0.5 * enclosing_radius(m), math.inf):
+                f = build_rips(m, RipsParams(3, t))
+                counts = np.bincount([len(s) - 1 for s, _ in f], minlength=5)
+                cases.append((m, t, counts.tolist()))
+        for cells in (1, 40, 1 << 18):
+            monkeypatch.setattr(rips, "_CELLS", cells)
+            for m, t, counts in cases:
+                assert _counts_and_betti(m, 3, t)[0] == counts
 
     def test_checks_its_input_first(self):
         with pytest.raises(DimensionTooLarge):
@@ -227,12 +242,12 @@ class TestCliqueCounts:
 
 
 class TestLevels:
-    """build_rips, the counts of _counts_and_betti and the diagram engine
-    grow each level from the edges up once below their top and never the
-    top: a level grown twice would change no output, only the time. No
-    vertex row is grown, as the edges are read from the graph. The rows
-    passed to _Graph.grow are counted by their width, the level's
-    dimension + 1."""
+    """build_rips and the diagram engine grow each level from the edges up
+    once below their top and never the top: a level grown twice would
+    change no output, only the time. No vertex row is grown, as the edges
+    are read from the graph, and the counts of _counts_and_betti grow no
+    row at all. The rows passed to _Graph.grow are counted by their width,
+    the level's dimension + 1."""
 
     @pytest.fixture
     def grown(self, monkeypatch):
@@ -256,7 +271,7 @@ class TestLevels:
     @pytest.mark.parametrize("where", ["half", "at", "inf"])
     def test_build_rips_and_clique_counts(self, grown, monkeypatch, seed,
                                           where):
-        # the counts' walk, then, below R only, the diagram's on the same
+        # the counts grow nothing; below R only, the diagram grows the same
         # graph: at or above R the graph is a cone and is not reduced
         m = pairwise_distances(seeded_cloud(seed, 9, grid=seed % 2 == 1))
         r = enclosing_radius(m)
@@ -267,7 +282,7 @@ class TestLevels:
                             lambda g, *args: built.append(g) or init(g, *args))
 
         def traced(g, k):
-            calls.append((g, dict(grown)))  # the rows the counts' walk grew
+            calls.append((g, dict(grown)))  # the rows the counts grew
             grown.clear()
             return diagram(g, k)
         monkeypatch.setattr(rips, "_diagram", traced)
@@ -278,13 +293,13 @@ class TestLevels:
             counts = _counts_and_betti(m, k, t)[0]
             assert len(built) == 1
             if where == "half":
-                [(g, walk)] = calls
+                [(g, counted)] = calls
                 assert g is built[0]
-                self.assert_grown_once(walk, counts[:-1])
+                assert counted == {}
                 self.assert_grown_once(grown, counts[:-2])
             else:
                 assert calls == []
-                self.assert_grown_once(grown, counts[:-1])
+                assert grown == {}
             grown.clear()
             assert len(build_rips(m, RipsParams(k, t))) == sum(counts)
             self.assert_grown_once(grown, counts[:-1])
