@@ -29,9 +29,11 @@ top level is never stored whole:
 - `cloud_persistence` computes the same diagram from points, with only
   the distances the graph can hold: like Ripser's sparse input, the
   pairs within the threshold;
-- `_counts_and_betti` counts one graph for `ripsph validate`, reducing no
-  cone. Its counts walk no level: `_clique_counts` ANDs bitsets of the
-  neighbours above each first vertex, and the top level is a popcount.
+- `_counts_and_betti` counts one graph for `ripsph validate` and reduces
+  only its strong collapse, nothing if it is a cone. Its counts walk no
+  level: `_clique_counts` ANDs bitsets of the neighbours above each first
+  vertex, and the top level is a popcount; `_core` removes, round by round,
+  each vertex whose closed neighbourhood lies in a neighbour's, as bitsets.
 
 Both diagram entries stop their pairs at the enclosing radius, found from
 the pairs alone. `_Graph` is built from one list of weighted pairs i < j,
@@ -129,13 +131,60 @@ def _counts_and_betti(m: np.ndarray, max_dim: int, threshold: float
     of build_rips(m, RipsParams(max_dim, threshold)), counted by
     _clique_counts, and its Betti numbers at threshold. If a vertex reaches
     all others, the complex is a cone on it and nothing is reduced; else
-    the graph is the one rips_persistence stops at the enclosing radius."""
+    _diagram reduces the core, the subgraph on the vertices _core keeps:
+    its clique complex, all present at threshold, is a strong deformation
+    retract of the whole one, so the two have the same homology."""
     m = _checked(m, max_dim)
     g = _Graph(*_matrix_pairs(m, threshold), len(m))
     counts = _clique_counts(g, max_dim + 1)
     if (np.diff(g.ptr) == len(m) - 1).any():
         return counts, (1,) + (0,) * max_dim
+    live = _core(g)
+    if not live.all():
+        keep = live[g.edges[0]].all(axis=1)
+        i, j = np.searchsorted(np.flatnonzero(live), g.edges[0][keep].T)
+        w, g = g.edges[1][keep], None  # g's table is freed before the core's
+        g = _Graph(i, j, w, int(live.sum()))
     return counts, betti_at_scale(_diagram(g, max_dim), threshold, max_dim=max_dim)
+
+
+def _core(g: _Graph) -> np.ndarray:
+    """The mask of the labels of g that its strong collapse keeps (Barmak
+    and Minian, "Strong homotopy types, nerves and collapses", DCG 2012).
+    If N[v] lies in N[w] for a neighbour w, closed neighbourhoods, the link
+    of v in the clique complex is a cone on w: removing v, a strong
+    collapse, keeps the homotopy type. A round removes each v that is
+    strictly dominated or whose N[v] is that of a higher label: each has a
+    dominator that stays, and domination survives the removal of others,
+    so all go at once. Rounds repeat until none goes, each after the first
+    testing only the edges with an end that lost a neighbour. N[v] is the
+    bitset row v of n / 64 words, read in blocks of at most _CELLS words."""
+    n = len(g.ptr) - 1
+    words = -(-n // 64)
+    r = np.r_[np.repeat(np.arange(n), np.diff(g.ptr)), np.arange(n)]
+    c = np.r_[g.nbr, np.arange(n)].astype(np.uint64)  # the CSR cells and v
+    bits = np.zeros((n, words), np.uint64)
+    np.bitwise_or.at(bits, (r, c >> 6), np.uint64(1) << (c & 63))
+    live = np.arange(64 * words) < n  # padded to whole words
+    x, y = g.edges[0].T.copy()  # x < y
+    test, block = np.arange(len(x)), max(1, _CELLS // words)
+    while len(test):
+        gone = np.zeros_like(live)
+        for a in range(0, len(test), block):
+            u, v = x[test[a:a + block]], y[test[a:a + block]]
+            bu, bv = bits[u], bits[v]
+            low = ~(bu & ~bv).any(axis=1)  # N[u] in N[v]
+            gone[u[low]] = True
+            gone[v[~low & ~(bv & ~bu).any(axis=1)]] = True
+        live &= ~gone
+        cut = gone[x] | gone[y]
+        hit = np.zeros_like(live)  # the live ends of the cut edges
+        hit[x[cut]] = hit[y[cut]] = True
+        hit &= live
+        bits[hit[:n]] &= np.packbits(live, bitorder="little").view("<u8")
+        x, y = x[~cut], y[~cut]
+        test = np.flatnonzero(hit[x] | hit[y])
+    return live[:n]
 
 
 def _clique_counts(g: _Graph, top: int) -> list[int]:

@@ -271,15 +271,20 @@ class TestLevels:
     @pytest.mark.parametrize("where", ["half", "at", "inf"])
     def test_build_rips_and_clique_counts(self, grown, monkeypatch, seed,
                                           where):
-        # the counts grow nothing; below R only, the diagram grows the same
-        # graph: at or above R the graph is a cone and is not reduced
+        # the counts read the first graph and grow nothing; below R only,
+        # the diagram grows that graph if no vertex is dominated, else its
+        # core, each level once: at or above R the graph is a cone, neither
+        # collapsed nor reduced
         m = pairwise_distances(seeded_cloud(seed, 9, grid=seed % 2 == 1))
         r = enclosing_radius(m)
         t = {"half": 0.5 * r, "at": r, "inf": math.inf}[where]
-        built, calls = [], []
-        init, diagram = _Graph.__init__, rips._diagram
+        built, counted, calls = [], [], []
+        init, diagram, clique_counts = (_Graph.__init__, rips._diagram,
+                                        rips._clique_counts)
         monkeypatch.setattr(_Graph, "__init__",
                             lambda g, *args: built.append(g) or init(g, *args))
+        monkeypatch.setattr(rips, "_clique_counts", lambda g, top:
+                            counted.append(g) or clique_counts(g, top))
 
         def traced(g, k):
             calls.append((g, dict(grown)))  # the rows the counts grew
@@ -288,16 +293,21 @@ class TestLevels:
         monkeypatch.setattr(rips, "_diagram", traced)
         for k in range(3):
             built.clear()
+            counted.clear()
             calls.clear()
             grown.clear()
             counts = _counts_and_betti(m, k, t)[0]
-            assert len(built) == 1
+            assert counted == built[:1]
             if where == "half":
-                [(g, counted)] = calls
-                assert g is built[0]
-                assert counted == {}
-                self.assert_grown_once(grown, counts[:-2])
+                [(g, rows)] = calls
+                live = rips._core(built[0])
+                assert len(built) == 1 + (not live.all())
+                assert g is built[-1]
+                assert len(g.ptr) - 1 == live.sum()
+                assert rows == {}
+                self.assert_grown_once(grown, clique_counts(g, k + 1)[:-2])
             else:
+                assert len(built) == 1
                 assert calls == []
                 assert grown == {}
             grown.clear()
@@ -318,6 +328,101 @@ class TestLevels:
                 grown.clear()
                 entry(data, max_dim, t)
                 self.assert_grown_once(grown, counts)
+
+
+class TestCore:
+    """_counts_and_betti reduces only the strong collapse of its graph: the
+    Betti row of the core's diagram is the static homology of the whole
+    clique complex, and _core removes one of two vertices with equal
+    closed neighbourhoods, never both."""
+
+    @staticmethod
+    def cloud(kind):
+        if kind == "clusters":  # two unit squares 100 apart
+            pts = np.random.default_rng(44).uniform(0.0, 1.0, (14, 2))
+            pts[7:] += 100.0
+            return pts
+        if kind == "duplicates":
+            pts = seeded_cloud(45, 8)
+            return np.concatenate([pts, pts[:4]])
+        return seeded_cloud(46, 12, grid=kind == "grid")
+
+    @pytest.mark.parametrize("kind", ["clusters", "duplicates", "grid", "uniform"])
+    def test_betti_match_whole_complex(self, kind):
+        m = pairwise_distances(self.cloud(kind))
+        d = m[np.triu_indices(len(m), 1)]
+        r = enclosing_radius(m)
+        for t in [0.0, *np.quantile(d, [0.2, 0.4, 0.6]).tolist(),
+                  float(np.nextafter(r, 0.0))]:
+            for k in range(4):
+                c = complex_at_scale(build_rips(m, RipsParams(k, t)), t)
+                assert _counts_and_betti(m, k, t)[1] == betti_numbers(c, k)
+
+    def test_far_clusters_keep_one_vertex_each(self):
+        # fewer than k + 2 vertices kept, yet two components
+        m = pairwise_distances(self.cloud("clusters"))
+        assert rips._core(_Graph(*rips._matrix_pairs(m, 2.0), len(m))).sum() == 2
+        for k in range(4):
+            assert _counts_and_betti(m, k, 2.0)[1] == (2,) + (0,) * k
+
+    def test_four_cycle_keeps_every_vertex(self, monkeypatch):
+        # no vertex is dominated: the counted graph itself is reduced
+        m = unit_square_matrix()
+        built, reduced = [], []
+        init, diagram = _Graph.__init__, rips._diagram
+        monkeypatch.setattr(_Graph, "__init__",
+                            lambda g, *args: built.append(g) or init(g, *args))
+        monkeypatch.setattr(rips, "_diagram",
+                            lambda g, k: reduced.append(g) or diagram(g, k))
+        for k in range(3):
+            built.clear()
+            reduced.clear()
+            assert _counts_and_betti(m, k, 1.0)[1] == (1, 1, 0)[:k + 1]
+            assert rips._core(built[0]).all()
+            assert reduced == built
+
+    def test_equal_neighbourhoods_lose_one_vertex(self):
+        # vertex 4 doubles vertex 0 of the 4-cycle 0-1-2-3, N[0] = N[4]:
+        # one of the two goes and the cycle stays
+        i, j = np.array([[0, 1], [1, 2], [2, 3], [0, 3], [0, 4], [1, 4], [3, 4]]).T
+        g = _Graph(i, j, np.ones(len(i)), 5)
+        kept = set(g.names[rips._core(g)].tolist())
+        assert {1, 2, 3} < kept and len(kept & {0, 4}) == 1
+        # the ends of one edge
+        assert rips._core(_Graph(np.array([0]), np.array([1]), np.ones(1), 2)).sum() == 1
+
+    def test_path_collapses_round_by_round(self):
+        # each round removes the two ends, dominated by their neighbours,
+        # and the next round reads the neighbourhoods without them
+        g = _Graph(np.arange(9), np.arange(1, 10), np.ones(9), 10)
+        assert rips._core(g).sum() == 1
+
+    def test_core_of_a_cone_is_its_apex(self):
+        # apex 0 over the 5-cycle 1-2-3-4-5
+        pairs = [(0, v) for v in range(1, 6)] + [(v, v + 1) for v in range(1, 5)]
+        i, j = np.array(pairs + [(1, 5)]).T
+        g = _Graph(i, j, np.ones(len(i)), 6)
+        assert g.names[rips._core(g)].tolist() == [0]
+
+
+class TestFreeInvariants:
+    """What every diagram of n distinct points shows: H0 holds n points,
+    finite and essential together, and once the filtration stops at the
+    enclosing radius R exactly one class is essential, in H0."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_h0_size_and_one_essential_class_from_r(self, seed):
+        pts = np.unique(seeded_cloud(seed, 12, grid=seed % 2 == 1), axis=0)
+        m = pairwise_distances(pts)
+        r = enclosing_radius(m)
+        for t in (0.0, 0.5 * r, r, 2.0 * r, math.inf):
+            for k in range(3):
+                for d in (rips_persistence(m, k, t), cloud_persistence(pts, k, t)):
+                    assert (d.dims == 0).sum() == len(pts)
+                    essential = d.dims[np.isinf(d.deaths)]
+                    assert (essential == 0).any()
+                    if t >= r:
+                        assert essential.tolist() == [0]
 
 
 def weighted_edges(g):
