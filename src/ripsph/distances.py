@@ -18,7 +18,15 @@ diagrams, all of it on H0 diagrams whose deaths lie in a narrow band), ha,
 hb and 0. At a radius c a point is far when its diagonal cost exceeds c,
 and c is feasible iff some matching of pairs within c covers every far
 point of both diagrams; by Mendelsohn-Dulmage, iff each side's far points
-can be covered on their own. A pair within c of a far point is one that
+can be covered on their own. Each side's test is monotone in c, which
+leaves fewer points far and more pairs within it, so the answer is the
+larger of the two sides' least covering candidates: a's is bisected, b's
+side is tested there and bisected above it only if it fails, one decision
+more than a single bisection. Neither side covers below its bound, the
+largest over its points of the lesser of the point's diagonal cost and
+its L-infinity distance to the other diagram, so a's bisection starts at
+the larger bound; when b binds, its bound is often the answer, and b then
+passes at once. A pair within c of a far point is one that
 can matter, so each side is read from the block itself: the points are
 ordered far ones first, and the far rows (or columns) give a 0/1 matrix of
 the pairs within c. A sparse matrix, at most one cell in eight set, is
@@ -136,16 +144,33 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram,
     costs.sort()  # in place: np.unique would copy it once more
     candidates = costs[np.concatenate(([True], costs[1:] > costs[:-1]))]
     del costs
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = candidates[mid]
-        fa, fb = np.count_nonzero(ha > c), np.count_nonzero(hb > c)
-        if _covers(linf[:fa] <= c, 0) and _covers(linf[:, :fb] <= c, 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(gaps + [float(candidates[lo])])
+
+    def covers(axis: int, c) -> bool:
+        """Whether the far points of a (axis 0, rows) or of b (axis 1,
+        columns) at radius c are all matched within c."""
+        far = np.count_nonzero((ha, hb)[axis] > c)
+        return _covers((linf[:far] if axis == 0 else linf[:, :far]) <= c, axis)
+
+    def least(axis: int, lo: int) -> int:
+        """The least index at or above lo whose candidate covers the side;
+        the last does, as it leaves no point far."""
+        hi = len(candidates) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if covers(axis, candidates[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    # below a side's bound one of its far points has no point of the other
+    # diagram within c, so no radius below the larger bound is the answer
+    bound = max(np.minimum(h, linf.min(axis=1 - axis, initial=np.inf)).max(initial=0.0)
+                for axis, h in enumerate((ha, hb)))
+    i = least(0, int(np.searchsorted(candidates, bound)))
+    if not covers(1, candidates[i]):
+        i = least(1, i + 1)
+    return max(gaps + [float(candidates[i])])
 
 
 def wasserstein_distance(a: PersistenceDiagram, b: PersistenceDiagram,

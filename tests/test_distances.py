@@ -489,6 +489,60 @@ class TestCovers:
         assert _covers(ok, 1) == (size == m)
 
 
+def candidate_count(fa: np.ndarray, fb: np.ndarray) -> int:
+    """The distinct radii the bisection reads: the costs of the pairs below
+    the larger diagonal cost of their two points, every diagonal cost and 0."""
+    linf = np.abs(fa[:, None, :] - fb[None, :, :]).max(axis=2)
+    ha, hb = (fa[:, 1] - fa[:, 0]) / 2, (fb[:, 1] - fb[:, 0]) / 2
+    keep = (linf < ha[:, None]) | (linf < hb)
+    return len(np.unique(np.concatenate((linf[keep], ha, hb, [0.0]))))
+
+
+class TestSideBisection:
+    """a's side is bisected from the larger of the two sides' bounds, b's
+    is tested at its answer and bisected above it only if it fails there:
+    the axes of the _covers calls show which ran."""
+
+    @staticmethod
+    def axes(monkeypatch, a, b):
+        seen = []
+
+        def spy(ok, axis):
+            seen.append(axis)
+            return _covers(ok, axis)
+
+        monkeypatch.setattr(distances, "_covers", spy)
+        return bottleneck_distance(diagram(a), diagram(b), 1), seen
+
+    # three points 5, 5 and 3 from the diagonal, 0, 0.5 and 4 from the one
+    # point of the other side, 5 from the diagonal: the candidates are 0,
+    # 0.5, 3, 4 and 5, the bound of the three points' side is 3 and the
+    # two far points at 4 share one partner, so that side binds at 5
+    THREE, ONE = [(0.0, 10.0), (0.5, 10.5), (0.0, 6.0)], [(0.0, 10.0)]
+
+    @pytest.mark.parametrize("a, b, value, calls", [
+        # a fails at 4 and b, with no far point at 5, is tested once
+        (THREE, ONE, 5.0, [0, 1]),
+        # a covers at 4 and 3, b fails at 3 and 4: the second bisection
+        (ONE, THREE, 5.0, [0, 0, 1, 1]),
+        # the two points match within 1, each side's bound and least radius
+        ([(0.0, 4.0)], [(0.0, 5.0)], 1.0, [0, 0, 1]),
+    ], ids=["a_binds", "b_binds", "both_bind"])
+    def test_which_side_binds(self, monkeypatch, a, b, value, calls):
+        got, seen = self.axes(monkeypatch, a, b)
+        assert got == value == exhaustive_bottleneck(a, b)
+        assert seen == calls
+
+    def test_decisions_on_a_jittered_pair(self, monkeypatch):
+        fa, fb = jittered_pair(np.random.default_rng([0, 12]), 200)
+        got, seen = self.axes(monkeypatch, fa.tolist(), fb.tolist())
+        assert got == augmented_bottleneck(fa, fb)
+        assert seen.count(1) == 1  # a binds: b passes at a's answer
+        k = candidate_count(fa, fb)
+        assert k > 1000
+        assert len(seen) <= math.ceil(math.log2(k)) + 1
+
+
 class TestMetricAxioms:
     def test_symmetry_triangle_and_identity(self):
         rng = random.Random(67)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1010,3 +1011,75 @@ class TestLabelInvariance:
             assert np.array_equal(np.sort(g.names), np.arange(n))
             full = (np.diff(g.ptr) == n - 1).any()
             assert np.array_equal(g.names, np.arange(n)) == full
+
+
+class TestPassBound:
+    """rips._CELLS bounds every engine pass: the cofaces passes, the batches
+    of _clique_counts, the blocks of _core and the row blocks of
+    _matrix_pairs. One cell per pass, a few, the default and the old 2^18
+    give the same answers."""
+
+    CELLS = (1, 40, 1 << 14, 1 << 18)
+
+    def test_answers_equal_at_every_bound(self, monkeypatch):
+        cases = []
+        for pts in (seeded_cloud(0, 12), seeded_cloud(2, 13),
+                    seeded_cloud(1, 12, grid=True),
+                    with_duplicates(seeded_cloud(3, 11))):
+            m = pairwise_distances(pts)
+            r = enclosing_radius(m)
+            cases += [(pts, m, k, t) for t in (0.5 * r, r, math.inf)
+                      for k in range(4)]
+        results = []
+        for cells in self.CELLS:
+            monkeypatch.setattr(rips, "_CELLS", cells)
+            results.append([(cloud_persistence(pts, k, t), rips_persistence(m, k, t),
+                             _counts_and_betti(m, k, t)) for pts, m, k, t in cases])
+        assert all(r == results[-1] for r in results)
+
+
+def alpha_helix(n, seed):
+    """n C-alpha atoms of an alpha helix: radius 2.3 A, 100 degrees and a
+    1.5 A rise per residue, with seeded jitter."""
+    t = np.arange(n)
+    pts = np.column_stack((2.3 * np.cos(np.deg2rad(100.0) * t),
+                           2.3 * np.sin(np.deg2rad(100.0) * t), 1.5 * t))
+    return pts + np.random.default_rng(seed).normal(0.0, 0.3, pts.shape)
+
+
+class TestPassMemory:
+    """A pass's temporaries stay within _CELLS cells of 8 bytes each, 128
+    KiB, so the passes over the triangles of a 40-point helix at the full
+    threshold (the engine's H2 columns) hold about 1 MiB at once; at
+    2^18 cells, 2 MiB temporaries, they held about 6 MiB."""
+
+    @pytest.fixture
+    def triangles(self):
+        m = pairwise_distances(alpha_helix(40, 0))
+        g = rips._stopped_graph(lambda: rips._matrix_pairs(m, math.inf), 40, math.inf)
+        s, diam = map(np.concatenate, zip(*list(rips._levels(g, 1))[1]))
+        assert len(s) > 1000  # several passes
+        return g, s, diam
+
+    @staticmethod
+    def peak_above(call):
+        """call's output, and how far the traced heap peaked during the
+        call above what it holds after it, the output included."""
+        tracemalloc.start()
+        try:
+            out = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - held
+
+    def test_cofaces_passes(self, triangles):
+        g, s, diam = triangles
+        _, peak = self.peak_above(lambda: sum(1 for _ in g.cofaces(s, diam)))
+        assert peak < 1.5 * 2**20
+
+    def test_first_pivots(self, triangles):
+        g, s, diam = triangles
+        out, peak = self.peak_above(lambda: g.first_pivots(s, diam))
+        assert [len(x) for x in out] == [len(s)] * 3
+        assert peak < 2 * 2**20
