@@ -32,8 +32,9 @@ top level is never stored whole:
 - `_counts_and_betti` counts one graph for `ripsph validate` and reduces
   only its strong collapse, nothing if it is a cone. Its counts walk no
   level: `_clique_counts` ANDs bitsets of the neighbours above each first
-  vertex, and the top level is a popcount; `_core` removes, round by round,
-  each vertex whose closed neighbourhood lies in a neighbour's, as bitsets.
+  vertex, and the top level is a popcount; `_core` removes, in rounds of one
+  bitset pass over the live edges, each vertex whose closed neighbourhood
+  lies in a neighbour's, until a round cuts no edge or under 1/64 of them.
 
 Both diagram entries stop their pairs at the enclosing radius, found from
 the pairs alone. `_Graph` is built from one list of weighted pairs i < j,
@@ -157,12 +158,14 @@ def _core(g: _Graph) -> np.ndarray:
     and Minian, "Strong homotopy types, nerves and collapses", DCG 2012).
     If N[v] lies in N[w] for a neighbour w, closed neighbourhoods, the link
     of v in the clique complex is a cone on w: removing v, a strong
-    collapse, keeps the homotopy type. A round removes each v that is
-    strictly dominated or whose N[v] is that of a higher label: each has a
-    dominator that stays, and domination survives the removal of others,
-    so all go at once. Rounds repeat until none goes, each after the first
-    testing only the edges with an end that lost a neighbour. N[v] is the
-    bitset row v of n / 64 words, read in blocks of at most _CELLS words."""
+    collapse, keeps the homotopy type. A round tests each live edge once
+    and removes each v strictly dominated or whose N[v] is that of a higher
+    label: each has a dominator that stays, and domination survives the
+    removal of others, so any prefix of rounds is a strong collapse. Rounds
+    end when one removes none or cuts under 1/64 of the live edges, so all
+    test under 64 times the first's edges: a dense graph still nears its
+    fixed point, and a long chain, a few edges a round, is not peeled out.
+    N[v] is the bitset row v of n / 64 words, in blocks of _CELLS words."""
     n = len(g.ptr) - 1
     words = -(-n // 64)
     r = np.r_[np.repeat(np.arange(n), np.diff(g.ptr)), np.arange(n)]
@@ -170,25 +173,21 @@ def _core(g: _Graph) -> np.ndarray:
     bits = np.zeros((n, words), np.uint64)
     np.bitwise_or.at(bits, (r, c >> 6), np.uint64(1) << (c & 63))
     live = np.arange(64 * words) < n  # padded to whole words
-    x, y = g.edges[0].T.copy()  # x < y
-    test, block = np.arange(len(x)), max(1, _CELLS // words)
-    while len(test):
+    (x, y), block = g.edges[0].T, max(1, _CELLS // words)  # x < y
+    while True:
         gone = np.zeros_like(live)
-        for a in range(0, len(test), block):
-            u, v = x[test[a:a + block]], y[test[a:a + block]]
+        for a in range(0, len(x), block):
+            u, v = x[a:a + block], y[a:a + block]
             bu, bv = bits[u], bits[v]
             low = ~(bu & ~bv).any(axis=1)  # N[u] in N[v]
             gone[u[low]] = True
             gone[v[~low & ~(bv & ~bu).any(axis=1)]] = True
         live &= ~gone
-        cut = gone[x] | gone[y]
-        hit = np.zeros_like(live)  # the live ends of the cut edges
-        hit[x[cut]] = hit[y[cut]] = True
-        hit &= live
-        bits[hit[:n]] &= np.packbits(live, bitorder="little").view("<u8")
-        x, y = x[~cut], y[~cut]
-        test = np.flatnonzero(hit[x] | hit[y])
-    return live[:n]
+        keep = live[x] & live[y]
+        if 64 * (len(x) - np.count_nonzero(keep)) < len(x) or not gone.any():
+            return live[:n]
+        bits &= np.packbits(live, bitorder="little").view("<u8")
+        x, y = x[keep], y[keep]
 
 
 def _clique_counts(g: _Graph, top: int) -> list[int]:

@@ -405,6 +405,58 @@ class TestCore:
         g = _Graph(i, j, np.ones(len(i)), 6)
         assert g.names[rips._core(g)].tolist() == [0]
 
+    def test_long_path_stops_after_one_round(self, monkeypatch):
+        # a round that goes on masks the rows once with the packed live
+        # vertices; the first round cuts 2 of 1,999 edges, under 1/64, so
+        # none goes on and the two ends are all that is removed
+        g = _Graph(np.arange(1999), np.arange(1, 2000), np.ones(1999), 2000)
+        rounds, packbits = [], np.packbits
+        monkeypatch.setattr(np, "packbits",
+                            lambda *a, **kw: rounds.append(1) or packbits(*a, **kw))
+        assert rips._core(g).sum() == 1998
+        assert rounds == []
+        monkeypatch.undo()
+        line = pairwise_distances(np.column_stack((np.arange(2000.0), np.zeros(2000))))
+        assert _counts_and_betti(line, 1, 1.05)[1] == (1, 0)
+
+    @staticmethod
+    def larger_cloud(kind, seed, n):
+        r = np.random.default_rng(seed)
+        if kind == "trace":  # a CA trace: 2.3 A radius, 100 degree turn, 1.5 A rise
+            a = np.deg2rad(100.0) * np.arange(n)
+            p = np.column_stack((2.3 * np.cos(a), 2.3 * np.sin(a), 1.5 * np.arange(n)))
+            return p + r.normal(0.0, 0.3, p.shape)
+        a = 2 * np.pi * (np.arange(n) + r.uniform(0, 1, n)) / n
+        return (1 + r.normal(0, 0.05, n))[:, None] * np.column_stack((np.cos(a), np.sin(a)))
+
+    # (seed, points, threshold): at 6 A these traces end on a round that
+    # cuts under 1/64 of the edges before the collapse reaches its fixed
+    # point; at 7 and 8 A they collapse to one vertex
+    STOPPED = [(23, 200, 6.0), (33, 120, 6.0), (14, 200, 6.0)]
+
+    @pytest.mark.parametrize("kind, seed, n, scale", [
+        *(("trace", *c) for c in STOPPED), ("trace", 0, 150, 7.0),
+        ("trace", 1, 200, 8.0), ("circle", 0, 200, 0.05),
+        ("circle", 1, 150, 0.075), ("circle", 2, 150, 0.1), ("circle", 3, 100, 0.1)])
+    def test_betti_match_whole_complex_on_larger_clouds(self, kind, seed, n, scale):
+        # traces at scale in A, circles at their scale distance quantile
+        m = pairwise_distances(self.larger_cloud(kind, seed, n))
+        t = scale if kind == "trace" else float(np.quantile(m[np.triu_indices(n, 1)], scale))
+        for k in range(3):
+            c = complex_at_scale(build_rips(m, RipsParams(k, t)), t)
+            assert _counts_and_betti(m, k, t)[1] == betti_numbers(c, k)
+
+    @pytest.mark.parametrize("seed, n, t", STOPPED)
+    def test_stopped_traces_keep_dominated_vertices(self, seed, n, t):
+        # the core of the core is smaller: the Betti rows above come from a
+        # collapse stopped before its fixed point
+        m = pairwise_distances(self.larger_cloud("trace", seed, n))
+        g = _Graph(*rips._matrix_pairs(m, t), n)
+        live = rips._core(g)
+        keep = live[g.edges[0]].all(axis=1)
+        i, j = np.searchsorted(np.flatnonzero(live), g.edges[0][keep].T)
+        assert not rips._core(_Graph(i, j, g.edges[1][keep], int(live.sum()))).all()
+
 
 class TestFreeInvariants:
     """What every diagram of n distinct points shows: H0 holds n points,
